@@ -238,6 +238,28 @@ mod tests {
     }
 
     #[test]
+    fn parallel_map_chunks_run_concurrently() {
+        // Each chunk waits until both have started. If the caller held the
+        // chunk claim queue while running its own chunk, no worker could
+        // claim the other one and both waits would time out.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let pool = Pool::new(2);
+        let started = AtomicUsize::new(0);
+        let met = with_pool(&pool, || {
+            parallel_map(vec![0, 1], |_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                started.load(Ordering::SeqCst) == 2
+            })
+        });
+        assert_eq!(met, [true, true], "parallel_map ran its two chunks one after the other");
+    }
+
+    #[test]
     fn join_returns_both_results() {
         let pool = Pool::new(2);
         let (a, b) = with_pool(&pool, || join(|| 1 + 1, || "two".len()));

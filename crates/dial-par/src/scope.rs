@@ -221,8 +221,14 @@ where
         pool.push_task(task);
     }
     // Help with any chunk nobody has claimed yet; the claim queue never
-    // refills, so an empty pop means every chunk is running or done.
-    while let Some(idx) = control.pending.lock().expect("map pending lock").pop_front() {
+    // refills, so an empty pop means every chunk is running or done. The
+    // claim is its own statement so the queue lock is released before
+    // the chunk runs: a `while let` scrutinee's guard would live through
+    // the loop body and keep every ticket waiting until the caller had
+    // run the chunks alone.
+    loop {
+        let claimed = control.pending.lock().expect("map pending lock").pop_front();
+        let Some(idx) = claimed else { break };
         scope.run_chunk(idx, &control);
     }
     // Wait out the stragglers other threads claimed. Workers decrement
