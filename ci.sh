@@ -58,6 +58,9 @@ cargo test -q --test parallel_equivalence
 echo "==> batch/stream byte-equivalence (sealed fingerprints + analyze bodies)"
 cargo test -q --test stream_equivalence
 
+echo "==> fitter golden pin (LCA/HMM/ZIP/GLM bits + fitter registry bodies at widths 1 and 2)"
+cargo test -q --test fitter_golden
+
 echo "==> chaos suite (fault injection, deadlines, graceful drain)"
 cargo test -q --test chaos
 

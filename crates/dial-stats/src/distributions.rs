@@ -1,6 +1,7 @@
 //! Probability-distribution helpers: normal CDF, log-gamma and Poisson pmf.
 
 use std::f64::consts::PI;
+use std::sync::LazyLock;
 
 /// Error function, via the Abramowitz & Stegun 7.1.26 rational approximation
 /// (|error| < 1.5e-7, ample for p-value reporting).
@@ -69,9 +70,26 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// `ln(k!)` via `ln_gamma`.
+/// Entries in the `ln(k!)` table: counts in the fitted data sit far below.
+const LN_FACTORIAL_TABLE: usize = 1024;
+
+/// `ln(k!)`, equal bit for bit to `ln_gamma(k + 1)`. Counts below
+/// [`LN_FACTORIAL_TABLE`] read a table built from that same call on first
+/// use; larger counts call it directly.
 pub fn ln_factorial(k: u64) -> f64 {
-    ln_gamma(k as f64 + 1.0)
+    static TABLE: LazyLock<Vec<f64>> = LazyLock::new(|| {
+        (0..LN_FACTORIAL_TABLE as u64).map(|k| ln_gamma(k as f64 + 1.0)).collect()
+    });
+    match usize::try_from(k).ok().and_then(|i| TABLE.get(i)) {
+        Some(v) => *v,
+        None => ln_gamma(k as f64 + 1.0),
+    }
+}
+
+/// `ln(y!)` for each count of one observation vector (counts are rounded
+/// to the nearest integer, as every Poisson fitter here does).
+pub fn ln_factorials(counts: &[f64]) -> Vec<f64> {
+    counts.iter().map(|y| ln_factorial(y.round() as u64)).collect()
 }
 
 /// Log of the Poisson pmf `P(X = k | λ)`. Defined for `λ > 0`; for `λ = 0`
@@ -130,6 +148,20 @@ mod tests {
         }
         // Γ(0.5) = √π.
         assert!((ln_gamma(0.5) - PI.sqrt().ln()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ln_factorial_table_equals_ln_gamma_bit_for_bit() {
+        // Every table entry, then well past the boundary where the table
+        // hands over to the direct call.
+        for k in 0..(LN_FACTORIAL_TABLE as u64 + 64) {
+            assert_eq!(
+                ln_factorial(k).to_bits(),
+                ln_gamma(k as f64 + 1.0).to_bits(),
+                "ln_factorial({k})"
+            );
+        }
+        assert_eq!(ln_factorial(1 << 40).to_bits(), ln_gamma((1u64 << 40) as f64 + 1.0).to_bits());
     }
 
     #[test]

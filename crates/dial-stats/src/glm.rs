@@ -2,6 +2,12 @@
 //! Poisson regression (log link) and logistic regression (logit link), both
 //! with optional prior observation weights — fractional weights are what the
 //! zero-inflated EM algorithm feeds back into these fitters.
+//!
+//! One IRLS driver serves two entry points per model. `fit` returns a
+//! [`GlmFit`] with the log-likelihood and standard errors, both evaluated
+//! at the final iteration's pre-update coefficients. `fit_coef` returns
+//! only the coefficients and skips that inference. The ZIP M-step uses
+//! `fit_coef`, because it reads nothing else.
 
 use crate::distributions::{ln_factorial, two_sided_p};
 use crate::matrix::{Matrix, SingularMatrix};
@@ -67,30 +73,54 @@ impl GlmFit {
     }
 }
 
+/// The outcome of one IRLS run.
+struct Irls {
+    /// Coefficients after the final update.
+    beta: Vec<f64>,
+    /// Linear predictor at the final iteration's pre-update coefficients:
+    /// the point the reported log-likelihood is evaluated at.
+    eta: Vec<f64>,
+    /// Fisher information `XᵀWX` at that same point: the reported
+    /// standard errors come from its inverse.
+    info: Matrix,
+    iterations: usize,
+}
+
+impl Irls {
+    /// The full fit: `ll`'s per-observation contributions at
+    /// [`Irls::eta`] summed in observation order, and standard errors
+    /// from [`Irls::info`].
+    fn into_fit(self, ll: impl Fn(usize, f64) -> f64) -> Result<GlmFit, SingularMatrix> {
+        let mut log_lik = 0.0;
+        for (i, eta) in self.eta.iter().enumerate() {
+            log_lik += ll(i, *eta);
+        }
+        GlmFit::from_irls(self.beta, &self.info, log_lik, self.eta.len(), self.iterations)
+    }
+}
+
 /// Shared IRLS driver. `step` maps the current linear predictor to
-/// `(irls_weight, working_response, loglik_contribution)` per observation.
+/// `(irls_weight, working_response)` per observation. It computes no
+/// log-likelihood and inverts nothing, so callers that only need the
+/// coefficients (the ZIP M-step) pay for nothing else.
 fn irls(
     x: &Matrix,
     init: Vec<f64>,
-    mut step: impl FnMut(usize, f64) -> (f64, f64, f64),
-) -> Result<(Vec<f64>, Matrix, f64, usize), SingularMatrix> {
+    mut step: impl FnMut(usize, f64) -> (f64, f64),
+) -> Result<Irls, SingularMatrix> {
     let n = x.rows();
     let mut beta = init;
+    let mut eta = Vec::new();
     let mut info = Matrix::zeros(x.cols(), x.cols());
-    let mut log_lik = 0.0;
     let mut iterations = 0;
 
     for iter in 1..=MAX_ITER {
         iterations = iter;
-        let eta = x.mul_vec(&beta);
+        eta = x.mul_vec(&beta);
         let mut w = vec![0.0; n];
         let mut z = vec![0.0; n];
-        log_lik = 0.0;
         for i in 0..n {
-            let (wi, zi, ll) = step(i, eta[i]);
-            w[i] = wi;
-            z[i] = zi;
-            log_lik += ll;
+            (w[i], z[i]) = step(i, eta[i]);
         }
         info = x.xtwx(&w);
         let rhs = x.xtwz(&w, &z);
@@ -107,8 +137,11 @@ fn irls(
             break;
         }
     }
-    Ok((beta, info, log_lik, iterations))
+    Ok(Irls { beta, eta, info, iterations })
 }
+
+/// Bound on |η| to avoid overflow on wild IRLS steps.
+const ETA_CAP: f64 = 30.0;
 
 /// Poisson regression with log link.
 pub struct PoissonRegression;
@@ -123,6 +156,24 @@ impl PoissonRegression {
         y: &[f64],
         prior_weights: Option<&[f64]>,
     ) -> Result<GlmFit, SingularMatrix> {
+        let weight = |i: usize| prior_weights.map_or(1.0, |pw| pw[i]);
+        Self::irls(x, y, prior_weights)?.into_fit(|i, eta| {
+            let eta = eta.clamp(-ETA_CAP, ETA_CAP);
+            weight(i) * (y[i] * eta - eta.exp() - ln_factorial(y[i].round() as u64))
+        })
+    }
+
+    /// The coefficients [`PoissonRegression::fit`] reports, without the
+    /// log-likelihood or standard errors.
+    pub fn fit_coef(
+        x: &Matrix,
+        y: &[f64],
+        prior_weights: Option<&[f64]>,
+    ) -> Result<Vec<f64>, SingularMatrix> {
+        Ok(Self::irls(x, y, prior_weights)?.beta)
+    }
+
+    fn irls(x: &Matrix, y: &[f64], prior_weights: Option<&[f64]>) -> Result<Irls, SingularMatrix> {
         let n = x.rows();
         assert_eq!(y.len(), n);
         if let Some(pw) = prior_weights {
@@ -138,17 +189,11 @@ impl PoissonRegression {
             init[0] = (wy / wsum).max(1e-6).ln();
         }
 
-        let cap = 30.0; // bound η to avoid overflow on wild steps
-        let (coef, info, log_lik, iterations) = irls(x, init, |i, eta| {
-            let eta = eta.clamp(-cap, cap);
+        irls(x, init, |i, eta| {
+            let eta = eta.clamp(-ETA_CAP, ETA_CAP);
             let mu = eta.exp();
-            let pw = weight(i);
-            let w = pw * mu;
-            let z = eta + (y[i] - mu) / mu;
-            let ll = pw * (y[i] * eta - mu - ln_factorial(y[i].round() as u64));
-            (w, z, ll)
-        })?;
-        GlmFit::from_irls(coef, &info, log_lik, n, iterations)
+            (weight(i) * mu, eta + (y[i] - mu) / mu)
+        })
     }
 }
 
@@ -163,6 +208,24 @@ impl LogisticRegression {
         y: &[f64],
         prior_weights: Option<&[f64]>,
     ) -> Result<GlmFit, SingularMatrix> {
+        let weight = |i: usize| prior_weights.map_or(1.0, |pw| pw[i]);
+        Self::irls(x, y, prior_weights)?.into_fit(|i, eta| {
+            let mu = sigmoid(eta);
+            weight(i) * (y[i] * mu.max(1e-300).ln() + (1.0 - y[i]) * (1.0 - mu).max(1e-300).ln())
+        })
+    }
+
+    /// The coefficients [`LogisticRegression::fit`] reports, without the
+    /// log-likelihood or standard errors.
+    pub fn fit_coef(
+        x: &Matrix,
+        y: &[f64],
+        prior_weights: Option<&[f64]>,
+    ) -> Result<Vec<f64>, SingularMatrix> {
+        Ok(Self::irls(x, y, prior_weights)?.beta)
+    }
+
+    fn irls(x: &Matrix, y: &[f64], prior_weights: Option<&[f64]>) -> Result<Irls, SingularMatrix> {
         let n = x.rows();
         assert_eq!(y.len(), n);
         if let Some(pw) = prior_weights {
@@ -170,20 +233,17 @@ impl LogisticRegression {
         }
         let weight = |i: usize| prior_weights.map_or(1.0, |pw| pw[i]);
 
-        let init = vec![0.0; x.cols()];
-        let cap = 30.0;
-        let (coef, info, log_lik, iterations) = irls(x, init, |i, eta| {
-            let eta = eta.clamp(-cap, cap);
-            let mu = 1.0 / (1.0 + (-eta).exp());
-            let pw = weight(i);
+        irls(x, vec![0.0; x.cols()], |i, eta| {
+            let mu = sigmoid(eta);
             let v = (mu * (1.0 - mu)).max(1e-10);
-            let w = pw * v;
-            let z = eta + (y[i] - mu) / v;
-            let ll = pw * (y[i] * mu.max(1e-300).ln() + (1.0 - y[i]) * (1.0 - mu).max(1e-300).ln());
-            (w, z, ll)
-        })?;
-        GlmFit::from_irls(coef, &info, log_lik, n, iterations)
+            (weight(i) * v, eta.clamp(-ETA_CAP, ETA_CAP) + (y[i] - mu) / v)
+        })
     }
+}
+
+/// The logistic mean at a clamped linear predictor.
+fn sigmoid(eta: f64) -> f64 {
+    1.0 / (1.0 + (-eta.clamp(-ETA_CAP, ETA_CAP)).exp())
 }
 
 /// Builds a design matrix with a leading intercept column from raw

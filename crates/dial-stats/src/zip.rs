@@ -12,8 +12,12 @@
 //! Fitting is by EM (the standard Lambert 1992 scheme): the E-step computes
 //! the posterior probability that each zero came from the inflation
 //! component; the M-step runs a weighted logistic regression for γ and a
-//! weighted Poisson regression for β. Standard errors come from the
-//! numerically-differentiated observed information of the full likelihood.
+//! weighted Poisson regression for β. The M-step reads only their
+//! coefficients, so it calls the GLMs' `fit_coef`: the same IRLS without
+//! the per-iteration log-likelihood or the information-matrix inverse.
+//! EM runs from two starting points concurrently. Standard errors come
+//! from the numerically-differentiated observed information of the full
+//! likelihood.
 //! The Vuong (1989) non-nested test compares ZIP against plain Poisson, as
 //! the paper reports for every model.
 
@@ -125,12 +129,15 @@ impl ZipModel {
         // points — "heavy inflation" at the empirical zero share and "no
         // inflation" — and keep the better optimum. The no-inflation start
         // guarantees the final likelihood is at least the Poisson one.
-        let poisson_beta = PoissonRegression::fit(x_count, y, None)?.coef;
+        //
+        // The two starts are independent, so they run concurrently; the
+        // fold below visits them in start order with a strict `>`, so a
+        // tie keeps the first start at any pool width.
+        let poisson_beta = PoissonRegression::fit_coef(x_count, y, None)?;
         let p0 = (n_zero as f64 / n as f64).clamp(0.01, 0.99);
-        let starts = [(p0 / (1.0 - p0)).ln(), -6.0];
+        let starts = vec![(p0 / (1.0 - p0)).ln(), -6.0];
 
-        let mut best: Option<(Vec<f64>, Vec<f64>, f64, usize)> = None;
-        for start in starts {
+        let optima = dial_par::parallel_map(starts, |start| {
             let mut beta = poisson_beta.clone();
             let mut gamma = vec![0.0; x_zero.cols()];
             gamma[0] = start;
@@ -153,9 +160,9 @@ impl ZipModel {
                 }
                 // M-step: logistic for γ on the fractional memberships,
                 // Poisson for β weighted by the count-component posterior.
-                gamma = LogisticRegression::fit(x_zero, &w, None)?.coef;
+                gamma = LogisticRegression::fit_coef(x_zero, &w, None)?;
                 let count_weights: Vec<f64> = w.iter().map(|wi| 1.0 - wi).collect();
-                beta = PoissonRegression::fit(x_count, y, Some(&count_weights))?.coef;
+                beta = PoissonRegression::fit_coef(x_count, y, Some(&count_weights))?;
 
                 let new_ll = zip_ll_total(x_count, x_zero, y, &beta, &gamma);
                 let improved = new_ll - log_lik;
@@ -164,8 +171,13 @@ impl ZipModel {
                     break;
                 }
             }
-            if best.as_ref().is_none_or(|(_, _, ll, _)| log_lik > *ll) {
-                best = Some((beta, gamma, log_lik, em_iterations));
+            Ok((beta, gamma, log_lik, em_iterations))
+        });
+        let mut best: Option<(Vec<f64>, Vec<f64>, f64, usize)> = None;
+        for optimum in optima {
+            let optimum = optimum?;
+            if best.as_ref().is_none_or(|(_, _, ll, _)| optimum.2 > *ll) {
+                best = Some(optimum);
             }
         }
         let (beta, gamma, log_lik, em_iterations) = best.expect("at least one EM start");
