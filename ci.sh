@@ -30,6 +30,9 @@ cargo clippy -p dial-stream --all-targets -- -D warnings
 echo "==> cargo clippy -p dial-store (warnings are errors)"
 cargo clippy -p dial-store --all-targets -- -D warnings
 
+echo "==> cargo clippy -p dial-serve (warnings are errors; it carries the shared HTTP transport)"
+cargo clippy -p dial-serve --all-targets -- -D warnings
+
 echo "==> cargo clippy -p dial-replicate (warnings are errors)"
 cargo clippy -p dial-replicate --all-targets -- -D warnings
 

@@ -17,8 +17,8 @@
 //! alongside `BENCH_replicate.json`.
 
 use criterion::{criterion_group, Criterion};
-use dial_replicate::{httpc, Router, RouterConfig, SyncRunner};
-use dial_serve::{Engine, Role, ServeConfig, Server};
+use dial_replicate::{Router, RouterConfig, SyncRunner};
+use dial_serve::{transport, Engine, Role, ServeConfig, Server};
 use dial_sim::SimConfig;
 use dial_store::{MemBackend, SegmentLog, StoreOptions};
 use dial_stream::{encode_ndjson, segments};
@@ -74,7 +74,7 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 }
 
 fn router_view(addr: &str) -> Option<serde_json::Value> {
-    let reply = httpc::get(addr, "/v1/cluster").ok()?;
+    let reply = transport::get(addr, "/v1/cluster").ok()?;
     serde_json::from_str(&reply.text()).ok()
 }
 
@@ -138,7 +138,7 @@ fn bench_failover_recovery(_c: &mut Criterion) {
     // Time-to-recover as a writer sees it: retry the next month until
     // it acks through the router again.
     let resume_ms = loop {
-        if httpc::post(&router_addr, "/v1/ingest", months[tip_before as usize + 1].as_bytes())
+        if transport::post(&router_addr, "/v1/ingest", months[tip_before as usize + 1].as_bytes())
             .map(|r| r.status)
             == Ok(200)
         {
@@ -155,7 +155,7 @@ fn bench_failover_recovery(_c: &mut Criterion) {
         .and_then(|v| v.get("leader").as_str().map(String::from))
         .expect("router names a leader");
     let started = Instant::now();
-    let reply = httpc::post(&current, "/v1/promote", b"{}").expect("promote RTT");
+    let reply = transport::post(&current, "/v1/promote", b"{}").expect("promote RTT");
     assert_eq!(reply.status, 200, "self re-promotion must succeed: {}", reply.text());
     let promote_ms = started.elapsed().as_secs_f64() * 1e3;
 

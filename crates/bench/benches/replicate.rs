@@ -15,8 +15,8 @@
 //! alongside `BENCH_store.json` and `BENCH_stream.json`.
 
 use criterion::{criterion_group, Criterion};
-use dial_replicate::{httpc, rank_replicas};
-use dial_serve::{Engine, EraScope, Role, ServeConfig, ServeExperiment, Server};
+use dial_replicate::rank_replicas;
+use dial_serve::{transport, Engine, EraScope, Role, ServeConfig, ServeExperiment, Server};
 use dial_sim::SimConfig;
 use dial_store::{MemBackend, SegmentLog, StoreOptions};
 use dial_stream::{encode_ndjson, segments};
@@ -113,7 +113,7 @@ fn sweep(addrs: &[String], ids: &[String]) -> Duration {
                 for owner in rank_replicas(addrs, &path) {
                     // 503 = shed by a full admission queue; the ranking
                     // is the retry order, same as `dial route` failover.
-                    match httpc::get(owner, &path).map(|r| r.status) {
+                    match transport::get(owner, &path).map(|r| r.status) {
                         Ok(200) => return,
                         Ok(503) | Err(_) => continue,
                         Ok(other) => panic!("GET {path} from {owner}: HTTP {other}"),
@@ -266,7 +266,7 @@ fn bench_read_scaling(_c: &mut Criterion) {
                 let mut i = worker;
                 while !stop.load(Ordering::Relaxed) {
                     let path = format!("/v1/analyze/{}", ids[i % ids.len()]);
-                    if httpc::get(addr, &path).map(|r| r.status) == Ok(200) {
+                    if transport::get(addr, &path).map(|r| r.status) == Ok(200) {
                         served.fetch_add(1, Ordering::Relaxed);
                     }
                     i += 1;

@@ -14,10 +14,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dial_bench::bench_market;
-use dial_serve::{Engine, ServeConfig, Server, SnapshotStore};
+use dial_serve::{transport, Engine, ServeConfig, Server, SnapshotStore};
 use std::hint::black_box;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,12 +74,8 @@ fn bench_analyze_warm(c: &mut Criterion) {
 /// One warm GET over a real socket, returning its wall-clock latency.
 fn timed_get(addr: SocketAddr, path: &str) -> Duration {
     let started = Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    assert!(raw.starts_with(b"HTTP/1.1 200"), "bench requests must succeed");
+    let reply = transport::get(&addr.to_string(), path).expect("bench request");
+    assert_eq!(reply.status, 200, "bench requests must succeed");
     started.elapsed()
 }
 

@@ -383,9 +383,10 @@ pub fn fired_total() -> u64 {
 }
 
 /// SplitMix64: the standard 64-bit finaliser, used for every seeded
-/// decision (rate fires, retry jitter). Small, fast, and good enough —
-/// this is schedule diversity, not cryptography.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// decision (rate fires, retry jitter) and for the router's rendezvous
+/// scores. Small, fast, and good enough — this is schedule diversity and
+/// key spreading, not cryptography.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

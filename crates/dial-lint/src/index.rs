@@ -26,9 +26,11 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const GUARD_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Calls that block on the disk or the network: fsync-family, socket
-/// I/O, and the `SyncClient` verbs (`manifest`/`fetch`) plus anything in
-/// the `httpc` module. Holding a guard across one of these turns every
-/// other thread wanting that lock into a disk/network waiter.
+/// I/O, and the `SyncClient` verbs (`manifest`/`fetch`) plus any
+/// `transport::` path call (dial-serve's shared HTTP transport: its
+/// client and its socket readers/writers). Holding a guard across one of
+/// these turns every other thread wanting that lock into a disk/network
+/// waiter.
 pub const BLOCKING_CALLS: &[&str] = &[
     "sync_all",
     "sync_data",
@@ -113,10 +115,10 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// One blocking-call site (a [`BLOCKING_CALLS`] name or `httpc::…`).
+/// One blocking-call site (a [`BLOCKING_CALLS`] name or `transport::…`).
 #[derive(Debug)]
 pub struct BlockingSite {
-    /// The call name as written (`sync_all`, `httpc::get`, …).
+    /// The call name as written (`sync_all`, `transport::get`, …).
     pub name: String,
     /// Index into the file list.
     pub file: usize,
@@ -440,7 +442,7 @@ impl WorkspaceIndex {
                 });
             }
             // Blocking calls: the fsync/socket/SyncClient verb list plus
-            // any `httpc::<fn>` path call.
+            // any `transport::<fn>` path call.
             if t.is_ident_in(BLOCKING_CALLS) && toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
                 self.blocking.push(BlockingSite {
                     name: t.text.to_string(),
@@ -449,14 +451,14 @@ impl WorkspaceIndex {
                     line: t.line,
                 });
             }
-            if t.is_ident("httpc")
+            if t.is_ident("transport")
                 && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
                 && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
                 && toks.get(i + 3).is_some_and(|n| n.kind == TokenKind::Ident)
                 && toks.get(i + 4).is_some_and(|n| n.is_punct('('))
             {
                 self.blocking.push(BlockingSite {
-                    name: format!("httpc::{}", toks[i + 3].text),
+                    name: format!("transport::{}", toks[i + 3].text),
                     file: fi,
                     token: i + 3,
                     line: t.line,

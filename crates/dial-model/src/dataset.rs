@@ -252,14 +252,24 @@ impl Dataset {
     }
 }
 
-/// 64-bit FNV-1a, the hash behind [`Dataset::fingerprint`].
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a, the workspace's content-fingerprint hash (behind
+/// [`Dataset::fingerprint`], the serve store's era hashes and scenario
+/// diff fingerprints).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV1A_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash over `bytes`: `fnv1a_fold(fnv1a(a), b)`
+/// equals `fnv1a` of `a` followed by `b`.
+pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    hash
 }
 
 #[cfg(test)]
@@ -267,6 +277,14 @@ mod tests {
     use super::*;
     use crate::contract::Visibility;
     use dial_time::{Date, Timestamp};
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_folds() {
+        assert_eq!(fnv1a(b""), FNV1A_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_fold(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     fn tiny_dataset() -> Dataset {
         let users = vec![

@@ -27,6 +27,6 @@ pub mod ids;
 pub mod social;
 
 pub use contract::{ChainRef, Contract, ContractStatus, ContractType, Visibility};
-pub use dataset::Dataset;
+pub use dataset::{fnv1a, fnv1a_fold, Dataset, FNV1A_OFFSET};
 pub use ids::{ContractId, PostId, ThreadId, UserId};
 pub use social::{Post, Thread, User};

@@ -16,8 +16,7 @@
 //!    bodies at the same watermark fall out, they are not a goal to
 //!    approximate.
 //!
-//! Four modules:
-//! - [`httpc`] — the minimal blocking HTTP/1.1 client both sides use.
+//! Three modules, all speaking HTTP through [`dial_serve::transport`]:
 //! - [`sync`] — [`sync::SyncRunner`], the follower's background tailing
 //!   loop over `GET /v1/sync/manifest` + `GET /v1/sync/segment/{seq}`,
 //!   with an SSE nudge that turns a leader seal into an immediate poll.
@@ -37,12 +36,10 @@
 //! every manifest and stamped write fences the old leader out if it
 //! comes back.
 
-pub mod httpc;
 pub mod promote;
 pub mod route;
 pub mod sync;
 
-pub use httpc::{get, get_with_timeout, post, post_with_headers, HttpReply};
 pub use promote::{cluster_epoch, pick_leader, reachable_leader, PeerView};
 pub use route::{rank_replicas, Router, RouterConfig};
 pub use sync::{SyncClient, SyncRunner, STALE_AFTER_FAILURES};
@@ -50,6 +47,7 @@ pub use sync::{SyncClient, SyncRunner, STALE_AFTER_FAILURES};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dial_serve::transport::{get, post};
     use dial_serve::{Engine, Role, ServeConfig, Server};
     use dial_sim::SimConfig;
     use dial_store::{MemBackend, SegmentLog, StoreOptions};

@@ -43,20 +43,30 @@
 //! [`crate::promote`]) and asks it to promote itself; the node's own
 //! peer survey re-verifies before the epoch bumps.
 //!
-//! Every proxied exchange is one fresh upstream connection — the same
-//! close-delimited HTTP/1.1 the in-tree server speaks.
+//! The router runs on the nodes' own transport ([`dial_serve::transport`]):
+//! the same accept loop, deadline readers, response writer and error
+//! envelope inbound, and one fresh client connection per proxied
+//! exchange outbound. Relayed replies keep their `Content-Type`,
+//! `Location` and `Retry-After`.
 
-use crate::httpc::{self, HttpReply};
 use crate::promote::{pick_leader, PeerView};
+use dial_fault::splitmix64;
+use dial_serve::transport::{self, json_str, Acceptor, HttpReply, Limits, Response};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Inbound request limits: a 16 KiB head (431 above it), a 64 MiB
+/// declared body (413 above it — a month segment at full scale fits),
+/// and one 10 s window for the whole request (408 when it runs out).
+const LIMITS: Limits =
+    Limits { window: Duration::from_secs(10), max_head: 16 * 1024, max_body: 64 * 1024 * 1024 };
 
 /// Read latencies kept for the adaptive hedge delay.
 const LATENCY_WINDOW: usize = 128;
@@ -152,9 +162,9 @@ struct RouterState {
 
 /// A running router; [`Router::stop`] shuts the accept loop down.
 pub struct Router {
-    addr: SocketAddr,
+    acceptor: Acceptor,
+    /// Stops the prober.
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
     probe_handle: Option<JoinHandle<()>>,
 }
 
@@ -162,10 +172,6 @@ impl Router {
     /// Binds and starts serving in a background accept loop, plus the
     /// health prober.
     pub fn start(cfg: RouterConfig) -> Result<Self, String> {
-        let listener = TcpListener::bind(("127.0.0.1", cfg.port))
-            .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?;
-        let addr = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
         let seeds = cluster_nodes_from(&cfg.leader, &cfg.followers);
         let state = Arc::new(RouterState {
             leader: Mutex::new(cfg.leader),
@@ -183,15 +189,12 @@ impl Router {
             retry_after_retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
+        let acceptor = {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("dial-route".into())
-                .spawn(move || accept_loop(&listener, &state, &stop))
-                .map_err(|e| format!("spawn router thread: {e}"))?
+            Acceptor::start(cfg.port, "dial-route", move |stream| handle_conn(stream, &state))
+                .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?
         };
+        let stop = Arc::new(AtomicBool::new(false));
         let probe_handle = {
             let stop = Arc::clone(&stop);
             let interval = cfg.probe_interval;
@@ -200,87 +203,70 @@ impl Router {
                 .spawn(move || probe_loop(&state, interval, &stop))
                 .map_err(|e| format!("spawn prober thread: {e}"))?
         };
-        Ok(Self { addr, stop, handle: Some(handle), probe_handle: Some(probe_handle) })
+        Ok(Self { acceptor, stop, probe_handle: Some(probe_handle) })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops accepting and joins the accept loop and prober. In-flight
     /// proxied requests finish on their own threads.
     pub fn stop(mut self) {
+        self.acceptor.stop();
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
         if let Some(handle) = self.probe_handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let st = Arc::clone(state);
-                std::thread::spawn(move || handle_conn(stream, &st));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 fn handle_conn(mut stream: TcpStream, state: &RouterState) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let (method, path, body) = match read_request(&mut stream) {
-        Ok(parts) => parts,
-        Err(detail) => {
-            respond_error(&mut stream, 400, "bad_request", &detail);
+    let _ = stream.set_write_timeout(Some(LIMITS.window));
+    let deadline = Instant::now() + LIMITS.window;
+    let head = match transport::read_head(&mut stream, deadline, &LIMITS) {
+        Ok(head) => head,
+        Err(refusal) => {
+            let _ = refusal.write_to(&mut stream);
+            transport::drain_unread(&mut stream);
             return;
         }
     };
-    match (method.as_str(), path.as_str()) {
-        ("POST", "/v1/ingest") => match forward_ingest(state, &body) {
-            Ok(reply) => relay(&mut stream, &reply),
-            Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-        },
-        ("GET", "/v1/cluster") => {
-            let body = router_cluster_json(state);
-            respond(&mut stream, 200, "application/json", None, body.as_bytes());
+    let path = head.target.as_str();
+    let response = match (head.method.as_str(), path) {
+        ("POST", "/v1/ingest") => {
+            let len = head.content_length().unwrap_or(0);
+            match transport::read_body(&mut stream, head.leftover, len, deadline, &LIMITS) {
+                Ok(body) => upstream(forward_ingest(state, &body)),
+                Err(refusal) => refusal,
+            }
         }
+        ("GET", "/v1/cluster") => Response::json(200, router_cluster_json(state)),
         ("GET", p) if p == "/v1/stream" || p.starts_with("/v1/stream?") => {
-            proxy_stream(&mut stream, state, &path);
+            return proxy_stream(&mut stream, state, p);
         }
         ("GET", p) if p.starts_with("/v1/analyze") => {
             let replicas = read_replicas(state);
             let ranked: Vec<String> =
-                rank_replicas(&replicas, &path).into_iter().map(str::to_string).collect();
-            match forward_read(state, &ranked, &path) {
-                Ok(reply) => relay(&mut stream, &reply),
-                Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-            }
+                rank_replicas(&replicas, p).into_iter().map(str::to_string).collect();
+            upstream(forward_read(state, &ranked, p))
         }
-        ("GET", _) => {
+        ("GET", p) => {
             let leader = lock_leader(state).clone();
-            match httpc::get(&leader, &path) {
-                Ok(reply) => relay(&mut stream, &reply),
-                Err(detail) => respond_error(&mut stream, 502, "bad_upstream", &detail),
-            }
+            upstream(transport::get(&leader, p))
         }
-        _ => respond_error(
-            &mut stream,
-            405,
-            "method_not_allowed",
-            "router accepts GET, and POST /v1/ingest",
-        ),
+        _ => Response::error(405, "method_not_allowed", "router accepts GET, and POST /v1/ingest"),
+    };
+    let _ = response.write_to(&mut stream);
+}
+
+/// The router's answer for one upstream exchange: the node's reply
+/// relayed whole, or 502 when no node answered.
+fn upstream(result: Result<HttpReply, String>) -> Response {
+    match result {
+        Ok(reply) => Response::relay(reply),
+        Err(detail) => Response::error(502, "bad_upstream", detail),
     }
 }
 
@@ -345,7 +331,7 @@ fn forward_ingest(state: &RouterState, body: &[u8]) -> Result<HttpReply, String>
 fn post_ingest_at(state: &RouterState, addr: &str, body: &[u8]) -> Result<HttpReply, String> {
     let epoch = state.epoch.load(Ordering::SeqCst).to_string();
     let headers = [("X-Dial-Epoch", epoch.as_str()), ("X-Dial-Leader", addr)];
-    httpc::post_with_headers(addr, "/v1/ingest", body, &headers)
+    transport::post_with_headers(addr, "/v1/ingest", body, &headers)
 }
 
 /// Pulls `detail.epoch` out of a `stale_epoch` error envelope.
@@ -400,7 +386,7 @@ fn forward_read(state: &RouterState, ranked: &[String], path: &str) -> Result<Ht
         let addr = ranked[i].clone();
         let path = path.to_string();
         std::thread::spawn(move || {
-            let _ = tx.send(httpc::get(&addr, &path));
+            let _ = tx.send(transport::get(&addr, &path));
         });
     };
     launch(0);
@@ -478,24 +464,18 @@ fn forward_read(state: &RouterState, ranked: &[String], path: &str) -> Result<Ht
 fn proxy_stream(client: &mut TcpStream, state: &RouterState, path: &str) {
     let replicas = read_replicas(state);
     let pick = state.round_robin.fetch_add(1, Ordering::Relaxed) % replicas.len();
-    let upstream_addr = &replicas[pick];
-    let mut upstream = match TcpStream::connect(upstream_addr) {
+    let mut feed = match transport::open_get(&replicas[pick], path, LIMITS.window) {
         Ok(s) => s,
-        Err(e) => {
-            respond_error(client, 502, "bad_upstream", &format!("connect {upstream_addr}: {e}"));
+        Err(detail) => {
+            let _ = Response::error(502, "bad_upstream", detail).write_to(client);
             return;
         }
     };
-    let head = format!("GET {path} HTTP/1.1\r\nHost: {upstream_addr}\r\nConnection: close\r\n\r\n");
-    if upstream.write_all(head.as_bytes()).is_err() {
-        respond_error(client, 502, "bad_upstream", &format!("write to {upstream_addr} failed"));
-        return;
-    }
     // Feeds idle between seals; only a dead upstream should cut the pipe.
-    let _ = upstream.set_read_timeout(Some(Duration::from_secs(300)));
+    let _ = feed.set_read_timeout(Some(Duration::from_secs(300)));
     let mut buf = [0u8; 8192];
     loop {
-        match upstream.read(&mut buf) {
+        match feed.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => {
                 if client.write_all(&buf[..n]).is_err() {
@@ -528,7 +508,7 @@ fn probe_loop(state: &Arc<RouterState>, interval: Duration, stop: &AtomicBool) {
         let tick = state.probes.fetch_add(1, Ordering::SeqCst) + 1;
         let mut views: Vec<PeerView> = Vec::new();
         for addr in cluster_nodes(state) {
-            let result = httpc::get_with_timeout(&addr, "/v1/cluster", timeout);
+            let result = transport::get_with_timeout(&addr, "/v1/cluster", timeout);
             let parsed = result.ok().filter(|r| r.status == 200).and_then(|r| {
                 serde_json::from_str::<Value>(&r.text()).ok().map(|v| {
                     (
@@ -617,7 +597,7 @@ fn reconcile(state: &RouterState, views: &[PeerView]) {
             // The empty body asks the node to survey its own peers and
             // promote itself; its survey re-verifies it holds the
             // highest tip even if our probe view is stale.
-            match httpc::post(&candidate.addr, "/v1/promote", b"{}") {
+            match transport::post(&candidate.addr, "/v1/promote", b"{}") {
                 Ok(reply) if reply.status == 200 => {
                     let epoch = serde_json::from_str::<Value>(&reply.text())
                         .ok()
@@ -640,7 +620,7 @@ fn reconcile(state: &RouterState, views: &[PeerView]) {
     for v in views {
         if v.reachable && v.addr != leader_now && (v.epoch < epoch_now || v.role == "leader") {
             let body = format!("{{\"epoch\":{epoch_now},\"leader\":{}}}", json_str(&leader_now));
-            let _ = httpc::post(&v.addr, "/v1/promote", body.as_bytes());
+            let _ = transport::post(&v.addr, "/v1/promote", body.as_bytes());
         }
     }
 }
@@ -702,13 +682,6 @@ fn addr_of_url(url: &str) -> Option<String> {
 
 // ---- rendezvous hashing ------------------------------------------------
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn hash_str(s: &str) -> u64 {
     s.bytes().fold(0x9e37_79b9_7f4a_7c15, |h, b| splitmix64(h ^ u64::from(b)))
 }
@@ -723,109 +696,6 @@ pub fn rank_replicas<'a>(replicas: &'a [String], key: &str) -> Vec<&'a str> {
         replicas.iter().map(|r| (splitmix64(hash_str(r) ^ k), r.as_str())).collect();
     scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
     scored.into_iter().map(|(_, r)| r).collect()
-}
-
-// ---- request/response plumbing ----------------------------------------
-
-/// Reads one request: method, path (with query), body per Content-Length.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, Vec<u8>), String> {
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if raw.len() > 16 * 1024 {
-            return Err("request head too large".into());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("connection closed mid-request".into()),
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(e) => return Err(format!("read: {e}")),
-        }
-    };
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|e| format!("non-UTF-8 request head: {e}"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let path = parts.next().ok_or("request line without a path")?.to_string();
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(n, _)| n.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > 64 * 1024 * 1024 {
-        return Err("declared body too large".into());
-    }
-    let mut body = raw[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("connection closed mid-body".into()),
-            Ok(n) => body.extend_from_slice(&buf[..n]),
-            Err(e) => return Err(format!("read body: {e}")),
-        }
-    }
-    body.truncate(content_length);
-    Ok((method, path, body))
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        308 => "Permanent Redirect",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        421 => "Misdirected Request",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s).unwrap_or_else(|_| "\"\"".into())
-}
-
-/// Relays an upstream reply to the client, preserving the headers that
-/// carry meaning across the hop (Content-Type, Location, Retry-After).
-fn relay(stream: &mut TcpStream, reply: &HttpReply) {
-    let ctype = reply.header("content-type").unwrap_or("application/json").to_string();
-    let location = reply.header("location").map(str::to_string);
-    respond(stream, reply.status, &ctype, location.as_deref(), &reply.body);
-}
-
-fn respond(stream: &mut TcpStream, status: u16, ctype: &str, location: Option<&str>, body: &[u8]) {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        reason(status),
-        body.len()
-    );
-    if let Some(loc) = location {
-        head.push_str(&format!("Location: {loc}\r\n"));
-    }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body));
-}
-
-/// The same `{"error":{...}}` envelope the serve nodes use, so router
-/// failures read identically to node failures downstream.
-fn respond_error(stream: &mut TcpStream, status: u16, code: &str, detail: &str) {
-    let body = format!(
-        "{{\"error\":{{\"code\":{},\"message\":{},\"detail\":null}}}}",
-        json_str(code),
-        json_str(detail)
-    );
-    respond(stream, status, "application/json", None, body.as_bytes());
 }
 
 #[cfg(test)]
@@ -890,6 +760,31 @@ mod tests {
                 assert_ne!(after, lost);
             }
         }
+    }
+
+    /// Rendezvous scores are part of the cluster's behaviour: every
+    /// router must send a key to the same replica, across builds too.
+    #[test]
+    fn rendezvous_ranks_are_pinned() {
+        let reps = replicas(4);
+        let ranked: Vec<Vec<&str>> =
+            ["/v1/analyze/table1", "/v1/analyze/fig7", "/v1/analyze?ids=a,b"]
+                .iter()
+                .map(|key| rank_replicas(&reps, key))
+                .collect();
+        assert_eq!(
+            ranked[0],
+            ["127.0.0.1:9002", "127.0.0.1:9001", "127.0.0.1:9000", "127.0.0.1:9003"]
+        );
+        assert_eq!(
+            ranked[1],
+            ["127.0.0.1:9003", "127.0.0.1:9002", "127.0.0.1:9001", "127.0.0.1:9000"]
+        );
+        assert_eq!(
+            ranked[2],
+            ["127.0.0.1:9000", "127.0.0.1:9003", "127.0.0.1:9001", "127.0.0.1:9002"]
+        );
+        assert_eq!(hash_str("dial"), 9_088_661_071_692_361_436);
     }
 
     #[test]

@@ -35,12 +35,11 @@
 //!   drops from O(poll interval) to near-instant while the interval
 //!   poll stays as the fallback when the subscription drops.
 
-use crate::httpc;
 use dial_fault::{inject, FaultAction, FaultPoint};
+use dial_serve::transport;
 use dial_serve::{Engine, Role, SyncApplied, SyncApplyError};
 use dial_store::{SyncManifest, SYNC_MANIFEST_VERSION};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,7 +63,7 @@ impl SyncClient {
 
     /// Fetches and parses `GET /v1/sync/manifest`.
     pub fn manifest(&self) -> Result<SyncManifest, String> {
-        let reply = httpc::get(&self.leader, "/v1/sync/manifest")?;
+        let reply = transport::get(&self.leader, "/v1/sync/manifest")?;
         if reply.status != 200 {
             return Err(format!("manifest: HTTP {} from {}", reply.status, self.leader));
         }
@@ -82,7 +81,7 @@ impl SyncClient {
     /// Fetches one sealed batch's raw frame bytes via
     /// `GET /v1/sync/segment/{seq}`.
     pub fn fetch(&self, seq: u64) -> Result<Vec<u8>, String> {
-        let reply = httpc::get(&self.leader, &format!("/v1/sync/segment/{seq}"))?;
+        let reply = transport::get(&self.leader, &format!("/v1/sync/segment/{seq}"))?;
         if reply.status != 200 {
             return Err(format!("batch {seq}: HTTP {} from {}", reply.status, self.leader));
         }
@@ -214,15 +213,11 @@ fn nudge_loop(engine: &Engine, stop: &AtomicBool, nudge: &AtomicBool) {
 /// never spans anything the 16-byte carry-over can't bridge.
 fn listen_for_seals(engine: &Engine, leader: &str, stop: &AtomicBool, nudge: &AtomicBool) {
     const MARKER: &[u8] = b"event: seal";
-    let Ok(sock_addr) = leader.parse() else { return };
-    let Ok(mut sock) = TcpStream::connect_timeout(&sock_addr, Duration::from_secs(2)) else {
+    let Ok(mut sock) = transport::open_get(leader, "/v1/stream", Duration::from_secs(2)) else {
         return;
     };
+    // Short reads keep the stop and role checks below responsive.
     if sock.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
-    }
-    let request = format!("GET /v1/stream HTTP/1.1\r\nHost: {leader}\r\nConnection: close\r\n\r\n");
-    if sock.write_all(request.as_bytes()).is_err() {
         return;
     }
     let mut chunk = [0u8; 4096];

@@ -7,6 +7,7 @@
 //! and its FNV fingerprint is a meaningful cache/CI key.
 
 use crate::parse::{Intervention, Scenario};
+use dial_model::fnv1a;
 use dial_sim::SecondMarketReport;
 use dial_time::Era;
 use std::fmt::Write as _;
@@ -283,16 +284,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// FNV-1a 64-bit — the workspace's shared content-fingerprint hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

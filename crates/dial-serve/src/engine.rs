@@ -18,6 +18,7 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::metrics::Metrics;
 use crate::scheduler::Scheduler;
 use crate::store::SnapshotStore;
+use crate::transport::{json_str, to_json};
 use crate::{EraScope, ScenarioHandle, ScenarioRunError, ServeExperiment};
 use dial_store::{Checkpoint, RecoveryReport, SegmentLog};
 use dial_stream::{Event, SealDelta, StreamEngine};
@@ -1120,8 +1121,7 @@ impl Engine {
         // lint:allow(unwrap-in-serve): lock poisoning means a sibling already panicked; propagating is the designed failure mode
         let guard = live.stream.lock().expect("stream lock");
         let manifest = guard.store.as_ref()?.sync_manifest();
-        // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-        Some(serde_json::to_string(&manifest).expect("sync manifest serialises"))
+        Some(to_json(&manifest))
     }
 
     /// Serves `GET /v1/sync/segment/{seq}`: one sealed batch as the
@@ -1227,12 +1227,10 @@ impl Engine {
             json_str(state.role.name()),
             state.leader.as_deref().map_or("null".to_string(), json_str),
             state.epoch,
-            // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-            serde_json::to_string(&state.peers).expect("peers serialise"),
+            to_json(&state.peers),
             sealed_seq.map_or("null".to_string(), |s| s.to_string()),
             json_str(&fingerprint),
-            // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-            serde_json::to_string(&sync).expect("sync status serialises"),
+            to_json(&sync),
         )
     }
 
@@ -1255,15 +1253,12 @@ impl Engine {
         let guard = live.stream.lock().expect("stream lock");
         let stats = guard.store.as_ref()?.stats();
         drop(guard);
-        // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-        let stats_json = serde_json::to_string(&stats).expect("store stats serialise");
+        let stats_json = to_json(&stats);
         let recovery_json = match &live.recovery {
-            // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-            Some(report) => serde_json::to_string(report).expect("recovery report serialises"),
+            Some(report) => to_json(report),
             None => "null".to_string(),
         };
-        // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-        let sync_json = serde_json::to_string(&self.sync_status()).expect("sync serialises");
+        let sync_json = to_json(&self.sync_status());
         Some(format!(
             "{{\"version\":2,\"role\":{},\"stats\":{stats_json},\"recovery\":{recovery_json},\"sync\":{sync_json}}}",
             json_str(self.role().name()),
@@ -1318,23 +1313,12 @@ impl Engine {
 fn seal_frames(delta: &SealDelta) -> Vec<Arc<String>> {
     let mut frames: Vec<Arc<String>> = Vec::with_capacity(2);
     if let Some(t) = &delta.era_transition {
-        let data = format!(
-            "{{\"month\":{},\"transition\":{}}}",
-            // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-            serde_json::to_string(&delta.month).expect("months serialise"),
-            // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-            serde_json::to_string(t).expect("transitions serialise"),
-        );
+        let data =
+            format!("{{\"month\":{},\"transition\":{}}}", to_json(&delta.month), to_json(t),);
         frames.push(Arc::new(format!("event: era\ndata: {data}\n\n")));
     }
     frames.push(Arc::new(format!("event: seal\ndata: {}\n\n", delta.to_json())));
     frames
-}
-
-/// JSON string literal for `s` (quotes + escaping).
-fn json_str(s: &str) -> String {
-    // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-    serde_json::to_string(&s).expect("strings serialise")
 }
 
 /// The cache-key snapshot component for an experiment scope: the full

@@ -1,11 +1,11 @@
-//! Hand-rolled HTTP/1.1 front-end over `std::net::TcpListener`.
+//! The node's HTTP front-end, on the shared [`crate::transport`].
 //!
-//! The protocol surface is deliberately tiny: GET plus one POST
-//! (`/v1/ingest`), JSON responses, `Connection: close` on every reply.
-//! Each accepted connection gets its own short-lived thread (connections
-//! are cheap; the expensive part — running experiments — is bounded by
-//! the engine's admission scheduler, which is where load is shed). The
-//! one long-lived route is `GET /v1/stream`: a chunked
+//! The protocol surface is deliberately tiny: GET plus two POSTs
+//! (`/v1/ingest`, `/v1/promote`), JSON responses, `Connection: close` on
+//! every reply. Each accepted connection gets its own short-lived thread
+//! (connections are cheap; the expensive part — running experiments — is
+//! bounded by the engine's admission scheduler, which is where load is
+//! shed). The one long-lived route is `GET /v1/stream`: a chunked
 //! `text/event-stream` of seal deltas and era transitions that holds its
 //! connection thread until the client leaves, `?max=N` frames have been
 //! sent, or a drain begins.
@@ -35,25 +35,32 @@
 //! `write_timeout` so a client that stops reading cannot wedge a
 //! connection thread. During a graceful drain every request answers
 //! `503` + `Retry-After` while in-flight work finishes.
+//!
+//! The readers and the writer are the transport's; the dial-fault hooks
+//! (slow read, truncated write, handler/ingest/promote stalls, netsplit)
+//! wrap them here, at the node's call sites.
 
 use crate::engine::{
     AnalyzeError, Engine, IngestError, PromoteError, Role, ScenarioServeError, SyncExportError,
 };
 use crate::store::StoreSummary;
+use crate::transport::{self, json_str, to_json, Acceptor, Head, Limits, Response};
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long an idle `/v1/stream` connection waits before emitting an SSE
 /// comment so intermediaries keep the connection alive.
 const SSE_HEARTBEAT: Duration = Duration::from_secs(2);
+
+/// How long a self-promotion waits on each peer's `/v1/cluster`.
+const PEER_SURVEY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -85,6 +92,17 @@ pub struct ServeConfig {
     pub max_pending_events: usize,
 }
 
+impl ServeConfig {
+    /// The transport limits these knobs set on every inbound request.
+    fn limits(&self) -> Limits {
+        Limits {
+            window: self.read_timeout,
+            max_head: self.max_header_bytes,
+            max_body: self.max_body_bytes,
+        }
+    }
+}
+
 impl Default for ServeConfig {
     fn default() -> Self {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
@@ -106,70 +124,35 @@ impl Default for ServeConfig {
 /// A running server; dropping it without [`Server::shutdown`] leaves the
 /// accept thread running until process exit.
 pub struct Server {
-    addr: SocketAddr,
     engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
     drain_timeout: Duration,
-    accept_handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Server {
     /// Binds, spawns the accept loop, and returns immediately.
     pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept_handle = {
+        let acceptor = {
             let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
-            let active = Arc::clone(&active);
-            let cfg = Arc::new(cfg.clone());
-            std::thread::Builder::new().name("dial-serve-accept".into()).spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let engine = Arc::clone(&engine);
-                    let draining = Arc::clone(&draining);
-                    let active = Arc::clone(&active);
-                    let cfg = Arc::clone(&cfg);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let _ = std::thread::Builder::new().name("dial-serve-conn".into()).spawn(
-                        move || {
-                            let _ = handle_connection(stream, &engine, &cfg, &draining);
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        },
-                    );
-                }
+            let cfg = cfg.clone();
+            Acceptor::start(cfg.port, "dial-serve", move |stream| {
+                let _ = handle_connection(stream, &engine, &cfg, &draining);
             })?
         };
-        Ok(Self {
-            addr,
-            engine,
-            stop,
-            draining,
-            active,
-            drain_timeout: cfg.drain_timeout,
-            accept_handle: Some(accept_handle),
-        })
+        Ok(Self { engine, draining, drain_timeout: cfg.drain_timeout, acceptor })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Blocks until the server is shut down from another thread.
     pub fn join(mut self) {
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.acceptor.join();
     }
 
     /// Immediate shutdown: stop accepting, wait for in-flight connections
@@ -177,7 +160,7 @@ impl Server {
     /// whatever is still running. Returns the abandoned job ids.
     pub fn shutdown(mut self) -> Vec<u64> {
         let deadline = Instant::now() + self.drain_timeout;
-        self.stop_accepting();
+        self.acceptor.stop();
         self.wait_connections(deadline);
         self.finish_engine(deadline)
     }
@@ -191,23 +174,13 @@ impl Server {
         let deadline = Instant::now() + self.drain_timeout;
         self.draining.store(true, Ordering::SeqCst);
         self.wait_connections(deadline);
-        self.stop_accepting();
+        self.acceptor.stop();
         self.finish_engine(deadline)
-    }
-
-    /// Stops the accept loop: set the flag, poke the listener (it only
-    /// observes the flag around an accept), join the thread.
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
     }
 
     /// Waits for in-flight connection threads, bounded by `deadline`.
     fn wait_connections(&self, deadline: Instant) {
-        while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        while self.acceptor.active() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -227,20 +200,6 @@ impl Server {
     }
 }
 
-// Owned fields throughout: the vendored serde derive does not support
-// lifetime parameters, and these bodies are tiny.
-#[derive(Serialize)]
-struct ErrorEnvelope {
-    error: ErrorBody,
-}
-
-#[derive(Serialize)]
-struct ErrorBody {
-    code: String,
-    message: String,
-    detail: Value,
-}
-
 #[derive(Serialize)]
 struct ExperimentRow {
     id: String,
@@ -256,73 +215,26 @@ struct SummaryBody {
     counts: StoreSummary,
 }
 
-/// One routed reply: status, JSON body (or raw octets for sync segment
-/// fetches), and optional `Location` (308/421) / `Retry-After` (drain
-/// 503) headers.
-struct Response {
-    status: u16,
-    body: String,
-    /// When set, the reply is `application/octet-stream` of these bytes
-    /// and `body` is ignored — the sync segment wire format.
-    raw: Option<Vec<u8>>,
-    location: Option<String>,
-    retry_after: Option<u64>,
+/// A 308 to `location`, with the envelope as body for JSON clients that
+/// do not follow redirects.
+fn redirect(location: String) -> Response {
+    let mut detail = BTreeMap::new();
+    detail.insert("location".to_string(), Value::String(location.clone()));
+    let mut r = Response::error_with(
+        308,
+        "moved_permanently",
+        format!("this endpoint moved to {location}"),
+        detail,
+    );
+    r.location = Some(location);
+    r
 }
 
-impl Response {
-    fn json(status: u16, body: String) -> Self {
-        Self { status, body, raw: None, location: None, retry_after: None }
-    }
-
-    /// A 200 of raw bytes (CRC-framed sync batches).
-    fn octets(bytes: Vec<u8>) -> Self {
-        Self {
-            status: 200,
-            body: String::new(),
-            raw: Some(bytes),
-            location: None,
-            retry_after: None,
-        }
-    }
-
-    /// The uniform error envelope; `detail` is `{}` when `None`.
-    fn error(status: u16, code: &str, message: String, detail: Option<Value>) -> Self {
-        let envelope = ErrorEnvelope {
-            error: ErrorBody {
-                code: code.to_string(),
-                message,
-                detail: detail.unwrap_or_else(|| Value::Object(Default::default())),
-            },
-        };
-        Self::json(status, to_json(&envelope))
-    }
-
-    /// A 308 to `location`, with the envelope as body for JSON clients
-    /// that do not follow redirects.
-    fn redirect(location: String) -> Self {
-        let mut detail = BTreeMap::new();
-        detail.insert("location".to_string(), Value::String(location.clone()));
-        let mut r = Self::error(
-            308,
-            "moved_permanently",
-            format!("this endpoint moved to {location}"),
-            Some(Value::Object(detail)),
-        );
-        r.location = Some(location);
-        r
-    }
-
-    /// The drain-mode answer: 503 with a `Retry-After` hint.
-    fn draining(retry_after_secs: u64) -> Self {
-        let mut r = Self::error(
-            503,
-            "draining",
-            "server is draining for shutdown, retry shortly".to_string(),
-            None,
-        );
-        r.retry_after = Some(retry_after_secs);
-        r
-    }
+/// The drain-mode answer: 503 with a `Retry-After` hint.
+fn draining_response(retry_after_secs: u64) -> Response {
+    let mut r = Response::error(503, "draining", "server is draining for shutdown, retry shortly");
+    r.retry_after = Some(retry_after_secs);
+    r
 }
 
 fn handle_connection(
@@ -332,53 +244,28 @@ fn handle_connection(
     draining: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let (head, leftover) = match read_request_head(&mut stream, engine, cfg) {
-        Ok(pair) => pair,
-        Err(kind) => {
-            engine.metrics().request_rejected();
-            let r = match kind {
-                HeadError::TooLarge => Response::error(
-                    431,
-                    "headers_too_large",
-                    format!("request head exceeds {} bytes", cfg.max_header_bytes),
-                    None,
-                ),
-                HeadError::Timeout => Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request head did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                ),
-            };
-            return respond_and_drain(&mut stream, engine, &r);
-        }
-    };
-    let request_line = head.lines().next().unwrap_or_default().to_string();
-    let mut parts = request_line.split_whitespace();
-    let (method, raw_path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m, p),
-        _ => {
-            let r = Response::error(
-                400,
-                "malformed_request",
-                "could not parse the request line".to_string(),
-                None,
-            );
-            return respond(&mut stream, engine, &r);
-        }
-    };
-    if let Some(len) = content_length(&head) {
-        if len > cfg.max_body_bytes {
-            engine.metrics().request_rejected();
-            let r = Response::error(
-                413,
-                "payload_too_large",
-                format!("declared body of {len} bytes exceeds {} bytes", cfg.max_body_bytes),
-                None,
-            );
-            return respond_and_drain(&mut stream, engine, &r);
-        }
+    let limits = cfg.limits();
+    let deadline = Instant::now() + cfg.read_timeout;
+    // Chaos hook: pretend the client (or the kernel) is slow by burning
+    // header-window time before the read. Injected exactly once per
+    // request head — a per-read() injection would key the fault sequence
+    // to TCP fragmentation, which is not deterministic across runs.
+    if let Some(dial_fault::FaultAction::Delay(d)) =
+        dial_fault::inject(dial_fault::FaultPoint::SlowRead)
+    {
+        engine.metrics().fault("slow_read");
+        std::thread::sleep(d);
     }
+    let head = match transport::read_head(&mut stream, deadline, &limits) {
+        Ok(head) => head,
+        // A malformed request line: the whole head was read already.
+        Err(r) if r.status == 400 => return respond(&mut stream, engine, &r),
+        Err(r) => {
+            engine.metrics().request_rejected();
+            return respond_and_drain(&mut stream, engine, &r);
+        }
+    };
+    let (method, raw_path) = (head.method.as_str(), head.target.as_str());
     let is_ingest = raw_path == "/v1/ingest" || raw_path.starts_with("/v1/ingest?");
     let is_promote = raw_path == "/v1/promote" || raw_path.starts_with("/v1/promote?");
     if !(method == "GET" || (method == "POST" && (is_ingest || is_promote))) {
@@ -388,7 +275,6 @@ fn handle_connection(
             format!(
                 "method {method} is not supported here; use GET (or POST /v1/ingest, /v1/promote)"
             ),
-            None,
         );
         return respond(&mut stream, engine, &r);
     }
@@ -396,7 +282,7 @@ fn handle_connection(
     // retry hint — in-flight requests (already past this gate) finish.
     if draining.load(Ordering::SeqCst) {
         engine.metrics().drain_rejection();
-        let r = Response::draining(cfg.drain_timeout.as_secs().max(1));
+        let r = draining_response(cfg.drain_timeout.as_secs().max(1));
         return respond(&mut stream, engine, &r);
     }
     // Split the query off for routing but keep `raw_path` whole so
@@ -408,9 +294,9 @@ fn handle_connection(
     if method == "POST" {
         // The only POSTs past the gate above are ingest and promote.
         if is_promote {
-            return handle_promote(&mut stream, engine, cfg, &head, leftover);
+            return handle_promote(&mut stream, engine, cfg, head);
         }
-        return handle_ingest(&mut stream, engine, cfg, &head, leftover);
+        return handle_ingest(&mut stream, engine, cfg, head);
     }
     if path == "/v1/stream" {
         // The stream holds its connection open for as long as the client
@@ -441,64 +327,6 @@ fn handle_connection(
     respond(&mut stream, engine, &response)
 }
 
-/// Why reading the request head failed.
-enum HeadError {
-    /// Grew past `max_header_bytes` (431).
-    TooLarge,
-    /// The total header window elapsed — silent *or* dribbling client
-    /// (408).
-    Timeout,
-}
-
-/// Reads the request head (everything through `\r\n\r\n`) under one
-/// total deadline: the socket read timeout is re-armed with the
-/// *remaining* window before every read, so a slow-loris client trickling
-/// bytes cannot extend its welcome past `read_timeout`. Any body bytes
-/// that arrived in the same reads are returned alongside the head.
-fn read_request_head(
-    stream: &mut TcpStream,
-    engine: &Engine,
-    cfg: &ServeConfig,
-) -> Result<(String, Vec<u8>), HeadError> {
-    let deadline = Instant::now() + cfg.read_timeout;
-    // Chaos hook: pretend the client (or the kernel) is slow by burning
-    // header-window time before the read. Injected exactly once per
-    // request head — a per-read() injection would key the fault sequence
-    // to TCP fragmentation, which is not deterministic across runs.
-    if let Some(dial_fault::FaultAction::Delay(d)) =
-        dial_fault::inject(dial_fault::FaultPoint::SlowRead)
-    {
-        engine.metrics().fault("slow_read");
-        std::thread::sleep(d);
-    }
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HeadError::Timeout);
-        }
-        if stream.set_read_timeout(Some(deadline - now)).is_err() {
-            return Err(HeadError::Timeout);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok((String::from_utf8_lossy(&buf).into_owned(), Vec::new())),
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.len() > cfg.max_header_bytes {
-                    return Err(HeadError::TooLarge);
-                }
-                if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                    let body = buf.split_off(pos + 4);
-                    return Ok((String::from_utf8_lossy(&buf).into_owned(), body));
-                }
-            }
-            Err(_) => return Err(HeadError::Timeout),
-        }
-    }
-}
-
 /// `POST /v1/ingest`: reads the NDJSON batch body and applies it to the
 /// live stream engine. The declared length was already bounds-checked
 /// against `max_body_bytes` before dispatch.
@@ -506,8 +334,7 @@ fn handle_ingest(
     stream: &mut TcpStream,
     engine: &Engine,
     cfg: &ServeConfig,
-    head: &str,
-    mut body: Vec<u8>,
+    head: Head,
 ) -> std::io::Result<()> {
     engine.metrics().request("/v1/ingest");
     // Epoch fencing. The router stamps forwarded writes with the cluster
@@ -516,22 +343,22 @@ fn handle_ingest(
     // refreshes its view), while a write carrying a *higher* epoch is
     // proof this leader has been superseded — it steps aside instead of
     // split-braining, adopting the leader the header names.
-    if let Some(remote) = header_value(head, "x-dial-epoch").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(remote) = head.header("x-dial-epoch").and_then(|v| v.parse::<u64>().ok()) {
         let local = engine.epoch();
         if remote < local {
             engine.metrics().epoch_rejection();
             let mut detail = BTreeMap::new();
             detail.insert("epoch".to_string(), Value::Number(local as f64));
-            let r = Response::error(
+            let r = Response::error_with(
                 409,
                 "stale_epoch",
                 format!("write carries epoch {remote} but this node is at epoch {local}"),
-                Some(Value::Object(detail)),
+                detail,
             );
             return respond_and_drain(stream, engine, &r);
         }
         if remote > local && engine.role() == Role::Leader {
-            let named = header_value(head, "x-dial-leader").map(str::to_string);
+            let named = head.header("x-dial-leader").map(str::to_string);
             if let Some(leader) = &named {
                 // Failure to adopt leaves this node fenced but leading at
                 // the old epoch; the 421 below still bounces the write.
@@ -541,11 +368,11 @@ fn handle_ingest(
             let mut detail = BTreeMap::new();
             detail.insert("leader".to_string(), Value::String(leader.clone()));
             detail.insert("epoch".to_string(), Value::Number(remote as f64));
-            let mut r = Response::error(
+            let mut r = Response::error_with(
                 421,
                 "not_leader",
                 format!("epoch {remote} has a new leader at {leader}; this node stepped down"),
-                Some(Value::Object(detail)),
+                detail,
             );
             r.location = Some(format!("http://{leader}/v1/ingest"));
             return respond_and_drain(stream, engine, &r);
@@ -557,21 +384,20 @@ fn handle_ingest(
         let leader = engine.leader_addr().unwrap_or_else(|| "unknown".to_string());
         let mut detail = BTreeMap::new();
         detail.insert("leader".to_string(), Value::String(leader.clone()));
-        let mut r = Response::error(
+        let mut r = Response::error_with(
             421,
             "not_leader",
             format!("this node is a follower; send writes to the leader at {leader}"),
-            Some(Value::Object(detail)),
+            detail,
         );
         r.location = Some(format!("http://{leader}/v1/ingest"));
         return respond_and_drain(stream, engine, &r);
     }
-    let Some(len) = content_length(head) else {
+    let Some(len) = head.content_length() else {
         let r = Response::error(
             411,
             "length_required",
-            "POST /v1/ingest needs a Content-Length header".to_string(),
-            None,
+            "POST /v1/ingest needs a Content-Length header",
         );
         return respond(stream, engine, &r);
     };
@@ -583,49 +409,14 @@ fn handle_ingest(
         engine.metrics().fault("ingest_stall");
         std::thread::sleep(d);
     }
-    // Read the rest of the body under one total deadline, mirroring the
-    // header window's slow-loris defence.
     let deadline = Instant::now() + cfg.read_timeout;
-    let mut chunk = [0u8; 4096];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    while body.len() < len {
-        let now = Instant::now();
-        if now >= deadline || stream.set_read_timeout(Some(deadline - now)).is_err() {
+    let body = match transport::read_body(stream, head.leftover, len, deadline, &cfg.limits()) {
+        Ok(body) => body,
+        Err(r) => {
             engine.metrics().request_rejected();
-            let r = Response::error(
-                408,
-                "request_timeout",
-                format!("request body did not arrive within {:?}", cfg.read_timeout),
-                None,
-            );
             return respond(stream, engine, &r);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => {
-                engine.metrics().request_rejected();
-                let r = Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request body did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                );
-                return respond(stream, engine, &r);
-            }
-        }
-    }
-    if body.len() < len {
-        engine.metrics().request_rejected();
-        let r = Response::error(
-            400,
-            "truncated_body",
-            format!("body ended after {} of {len} declared bytes", body.len()),
-            None,
-        );
-        return respond(stream, engine, &r);
-    }
-    body.truncate(len);
+    };
     let text = String::from_utf8_lossy(&body);
     let response = match engine.ingest(&text) {
         Ok(report) => Response::json(
@@ -639,14 +430,13 @@ fn handle_ingest(
             ),
         ),
         Err(IngestError::NotLive) => not_live_response(),
-        Err(IngestError::Parse(e)) => Response::error(400, "bad_event", e, None),
-        Err(IngestError::Gap(e)) => Response::error(400, "event_gap", e, None),
+        Err(IngestError::Parse(e)) => Response::error(400, "bad_event", e),
+        Err(IngestError::Gap(e)) => Response::error(400, "event_gap", e),
         Err(IngestError::Backpressure { pending }) => {
             let mut r = Response::error(
                 429,
                 "ingest_backpressure",
                 format!("{pending} events already pending; retry after the next seal"),
-                None,
             );
             r.retry_after = Some(1);
             r
@@ -656,7 +446,6 @@ fn handle_ingest(
             "seal_failed",
             "the seal panicked before commit; earlier events remain pending, retry the watermark"
                 .to_string(),
-            None,
         ),
     };
     if response.status >= 500 {
@@ -684,8 +473,7 @@ fn handle_promote(
     stream: &mut TcpStream,
     engine: &Engine,
     cfg: &ServeConfig,
-    head: &str,
-    mut body: Vec<u8>,
+    head: Head,
 ) -> std::io::Result<()> {
     engine.metrics().request("/v1/promote");
     // Chaos hook: promote is part of the coordination surface the
@@ -696,39 +484,17 @@ fn handle_promote(
         engine.metrics().fault("netsplit");
         std::thread::sleep(d);
     }
-    // Read the (tiny) body under the same total deadline as ingest.
-    let len = content_length(head).unwrap_or(0);
+    // Read the (tiny) body under the same total deadline as ingest. A
+    // body cut short is refused, never read as an empty self-promotion.
+    let len = head.content_length().unwrap_or(0);
     let deadline = Instant::now() + cfg.read_timeout;
-    let mut chunk = [0u8; 1024];
-    // lint:allow(missing-checkpoint): every iteration re-checks its own read deadline; the loop cannot outlive it
-    while body.len() < len {
-        let now = Instant::now();
-        if now >= deadline || stream.set_read_timeout(Some(deadline - now)).is_err() {
+    let body = match transport::read_body(stream, head.leftover, len, deadline, &cfg.limits()) {
+        Ok(body) => body,
+        Err(r) => {
             engine.metrics().request_rejected();
-            let r = Response::error(
-                408,
-                "request_timeout",
-                format!("request body did not arrive within {:?}", cfg.read_timeout),
-                None,
-            );
             return respond(stream, engine, &r);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => {
-                engine.metrics().request_rejected();
-                let r = Response::error(
-                    408,
-                    "request_timeout",
-                    format!("request body did not arrive within {:?}", cfg.read_timeout),
-                    None,
-                );
-                return respond(stream, engine, &r);
-            }
-        }
-    }
-    body.truncate(len);
+    };
     let text = String::from_utf8_lossy(&body);
     let parsed: Option<Value> = serde_json::from_str(text.trim()).ok();
     let adopt_fields = parsed.as_ref().and_then(|v| {
@@ -761,7 +527,16 @@ fn handle_promote(
             let mut cluster_epoch = engine.epoch();
             let mut veto: Option<(String, u64)> = None;
             for peer in &targets {
-                let Some((peer_tip, peer_epoch)) = peer_view(peer) else { continue };
+                // Unreachable (or garbled) peers cannot veto.
+                let Some(view) =
+                    transport::get_with_timeout(peer, "/v1/cluster", PEER_SURVEY_TIMEOUT)
+                        .ok()
+                        .and_then(|reply| serde_json::from_str::<Value>(reply.text().trim()).ok())
+                else {
+                    continue;
+                };
+                let peer_tip = view.get("sealed_seq").as_u64();
+                let peer_epoch = view.get("epoch").as_u64().unwrap_or(0);
                 cluster_epoch = cluster_epoch.max(peer_epoch);
                 if peer_tip > local_tip {
                     veto = Some((peer.clone(), peer_tip.unwrap_or(0)));
@@ -781,13 +556,13 @@ fn handle_promote(
                     let mut detail = BTreeMap::new();
                     detail.insert("peer".to_string(), Value::String(peer.clone()));
                     detail.insert("peer_sealed_seq".to_string(), Value::Number(tip as f64));
-                    Response::error(
+                    Response::error_with(
                         409,
                         "not_highest_tip",
                         format!(
                             "peer {peer} holds seal {tip}, ahead of this node; promote it instead"
                         ),
-                        Some(Value::Object(detail)),
+                        detail,
                     )
                 }
                 None => match engine.promote(cluster_epoch + 1) {
@@ -815,33 +590,11 @@ fn promote_error_response(e: &PromoteError) -> Response {
         PromoteError::StaleEpoch { current } => {
             let mut detail = BTreeMap::new();
             detail.insert("epoch".to_string(), Value::Number(*current as f64));
-            Response::error(409, "stale_epoch", e.to_string(), Some(Value::Object(detail)))
+            Response::error_with(409, "stale_epoch", e.to_string(), detail)
         }
         PromoteError::NotLive => not_live_response(),
-        PromoteError::Store(_) => Response::error(500, "epoch_not_persisted", e.to_string(), None),
+        PromoteError::Store(_) => Response::error(500, "epoch_not_persisted", e.to_string()),
     }
-}
-
-/// One short-deadline `GET /v1/cluster` against a peer: its sealed tip
-/// and epoch, or `None` when the peer is unreachable (connection refused,
-/// timed out, or answering garbage). Kept deliberately primitive — the
-/// serve crate cannot use dial-replicate's client without a dependency
-/// cycle, and a promotion survey needs nothing more than this.
-fn peer_view(addr: &str) -> Option<(Option<u64>, u64)> {
-    let timeout = Duration::from_secs(2);
-    let sock_addr: SocketAddr = addr.parse().ok()?;
-    let mut sock = TcpStream::connect_timeout(&sock_addr, timeout).ok()?;
-    sock.set_read_timeout(Some(timeout)).ok()?;
-    sock.set_write_timeout(Some(timeout)).ok()?;
-    write!(sock, "GET /v1/cluster HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").ok()?;
-    let mut buf = Vec::new();
-    sock.read_to_end(&mut buf).ok()?;
-    let text = String::from_utf8_lossy(&buf);
-    let body = text.split("\r\n\r\n").nth(1)?;
-    let v: Value = serde_json::from_str(body.trim()).ok()?;
-    let sealed = v.get("sealed_seq").as_u64();
-    let epoch = v.get("epoch").as_u64().unwrap_or(0);
-    Some((sealed, epoch))
 }
 
 /// `GET /v1/stream`: a chunked `text/event-stream` of seal deltas. New
@@ -863,16 +616,14 @@ fn handle_stream(
     let max_frames: Option<usize> = query
         .and_then(|q| q.split('&').find_map(|p| p.strip_prefix("max=")))
         .and_then(|v| v.parse().ok());
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-    )?;
+    transport::write_stream_head(stream)?;
     let reached = |sent: usize| max_frames.is_some_and(|m| sent >= m);
     let mut sent = 0usize;
     for frame in history {
         if reached(sent) {
             break;
         }
-        write_chunk(stream, frame.as_bytes())?;
+        transport::write_chunk(stream, frame.as_bytes())?;
         engine.metrics().sse_frame();
         sent += 1;
     }
@@ -880,31 +631,21 @@ fn handle_stream(
     while !reached(sent) && !draining.load(Ordering::SeqCst) {
         match rx.recv_timeout(Duration::from_millis(200)) {
             Ok(frame) => {
-                write_chunk(stream, frame.as_bytes())?;
+                transport::write_chunk(stream, frame.as_bytes())?;
                 engine.metrics().sse_frame();
                 sent += 1;
                 last_write = Instant::now();
             }
             Err(RecvTimeoutError::Timeout) => {
                 if last_write.elapsed() >= SSE_HEARTBEAT {
-                    write_chunk(stream, b": keep-alive\n\n")?;
+                    transport::write_chunk(stream, b": keep-alive\n\n")?;
                     last_write = Instant::now();
                 }
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    // Terminal chunk: the client sees a clean end of stream.
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
-}
-
-/// One HTTP/1.1 chunk.
-fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
+    transport::end_chunks(stream)
 }
 
 /// The 409 answered when a sync endpoint is hit on a node without a
@@ -913,8 +654,7 @@ fn no_sync_store_response() -> Response {
     Response::error(
         409,
         "no_store",
-        "sync requires a durable store; start the leader with --live --data-dir".to_string(),
-        None,
+        "sync requires a durable store; start the leader with --live --data-dir",
     )
 }
 
@@ -924,26 +664,8 @@ fn not_live_response() -> Response {
     Response::error(
         409,
         "not_live",
-        "this server serves a fixed snapshot; start it with --live to ingest or stream".to_string(),
-        None,
+        "this server serves a fixed snapshot; start it with --live to ingest or stream",
     )
-}
-
-/// The declared `Content-Length`, if any header carries one.
-fn content_length(head: &str) -> Option<usize> {
-    header_value(head, "content-length").and_then(|v| v.parse().ok())
-}
-
-/// The value of header `name` (case-insensitive), if the head carries it.
-fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
-    head.lines().skip(1).find_map(|line| {
-        let (n, value) = line.split_once(':')?;
-        if n.trim().eq_ignore_ascii_case(name) {
-            Some(value.trim())
-        } else {
-            None
-        }
-    })
 }
 
 /// The unversioned v0 endpoints, kept answering as permanent redirects.
@@ -996,9 +718,7 @@ fn route(
             engine.metrics().request("/v1/sync/segment");
             let seq = &path["/v1/sync/segment/".len()..];
             match seq.parse::<u64>() {
-                Err(_) => {
-                    Response::error(400, "bad_seq", format!("`{seq}` is not a seal seq"), None)
-                }
+                Err(_) => Response::error(400, "bad_seq", format!("`{seq}` is not a seal seq")),
                 Ok(seq) => match engine.export_sync_batch(seq) {
                     Ok(bytes) => Response::octets(bytes),
                     Err(SyncExportError::NoStore) => no_sync_store_response(),
@@ -1006,9 +726,8 @@ fn route(
                         404,
                         "unknown_segment",
                         format!("seal {seq} is not in the log (never sealed, or compacted away)"),
-                        None,
                     ),
-                    Err(SyncExportError::Store(e)) => Response::error(500, "store_error", e, None),
+                    Err(SyncExportError::Store(e)) => Response::error(500, "store_error", e),
                 },
             }
         }
@@ -1046,18 +765,14 @@ fn route(
                 None => Response::error(
                     409,
                     "no_store",
-                    "this server has no durable store; start with --live --data-dir".to_string(),
-                    None,
+                    "this server has no durable store; start with --live --data-dir",
                 ),
             }
         }
         // GETs to the ingest endpoint (POSTs dispatch before routing).
-        "/v1/ingest" => Response::error(
-            405,
-            "method_not_allowed",
-            "ingest is write-only; use POST /v1/ingest".to_string(),
-            None,
-        ),
+        "/v1/ingest" => {
+            Response::error(405, "method_not_allowed", "ingest is write-only; use POST /v1/ingest")
+        }
         "/v1/analyze" => {
             engine.metrics().request("/v1/analyze?ids");
             route_batch(engine, query, deadline)
@@ -1078,39 +793,45 @@ fn route(
             path == *p || (path.starts_with(*p) && path.as_bytes().get(p.len()) == Some(&b'/'))
         }) =>
         {
-            Response::redirect(format!("/v1{raw_path}"))
+            redirect(format!("/v1{raw_path}"))
         }
-        _ => Response::error(404, "unknown_endpoint", format!("no such endpoint: {path}"), None),
+        _ => Response::error(404, "unknown_endpoint", format!("no such endpoint: {path}")),
     }
+}
+
+/// The raw value of the `ids=` query parameter, if present.
+fn ids_param(query: Option<&str>) -> Option<&str> {
+    query?.split('&').find_map(|pair| pair.strip_prefix("ids="))
+}
+
+/// The comma-separated ids, deduplicated in first-occurrence order so
+/// the response maps have one entry per id.
+fn dedup_ids(param: &str) -> Vec<String> {
+    let mut ids: Vec<String> = Vec::new();
+    for id in param.split(',').filter(|s| !s.is_empty()) {
+        if !ids.iter().any(|seen| seen == id) {
+            ids.push(id.to_string());
+        }
+    }
+    ids
 }
 
 /// `GET /v1/analyze?ids=a,b,c`: runs the batch concurrently on the shared
 /// pool and returns `{"results": {id: body}, "errors": {id: envelope}}`.
 fn route_batch(engine: &Engine, query: Option<&str>, deadline: Option<Instant>) -> Response {
-    let Some(ids_param) = query.and_then(|q| {
-        q.split('&').find_map(|pair| pair.strip_prefix("ids=")).filter(|v| !v.is_empty())
-    }) else {
+    let Some(ids_param) = ids_param(query).filter(|v| !v.is_empty()) else {
         return Response::error(
             400,
             "missing_ids",
-            "batch analyze needs a non-empty `ids` query parameter, e.g. /v1/analyze?ids=table1,fig2".to_string(),
-            None,
+            "batch analyze needs a non-empty `ids` query parameter, e.g. /v1/analyze?ids=table1,fig2",
         );
     };
-    // Deduplicate while keeping first-occurrence order, so the response
-    // maps have one entry per id.
-    let mut ids: Vec<String> = Vec::new();
-    for id in ids_param.split(',').filter(|s| !s.is_empty()) {
-        if !ids.iter().any(|seen| seen == id) {
-            ids.push(id.to_string());
-        }
-    }
+    let ids = dedup_ids(ids_param);
     if ids.is_empty() {
         return Response::error(
             400,
             "missing_ids",
-            "the `ids` parameter contained no experiment ids".to_string(),
-            None,
+            "the `ids` parameter contained no experiment ids",
         );
     }
 
@@ -1140,7 +861,7 @@ fn route_batch(engine: &Engine, query: Option<&str>, deadline: Option<Instant>) 
             Ok(body) => results.push(format!("{}:{}", json_str(id), body)),
             Err(err) => {
                 let r = analyze_error_response(engine, err, id);
-                errors.push(format!("{}:{}", json_str(id), r.body));
+                errors.push(format!("{}:{}", json_str(id), String::from_utf8_lossy(&r.body)));
             }
         }
     }
@@ -1155,23 +876,13 @@ fn route_batch(engine: &Engine, query: Option<&str>, deadline: Option<Instant>) 
 /// dedup, the `/v1/analyze?ids` convention); omitted means the full
 /// registry.
 fn route_scenario(engine: &Engine, query: Option<&str>, deadline: Option<Instant>) -> Response {
-    let mut ids: Vec<String> = Vec::new();
-    if let Some(ids_param) =
-        query.and_then(|q| q.split('&').find_map(|pair| pair.strip_prefix("ids=")))
-    {
-        for id in ids_param.split(',').filter(|s| !s.is_empty()) {
-            if !ids.iter().any(|seen| seen == id) {
-                ids.push(id.to_string());
-            }
-        }
-    }
+    let ids = ids_param(query).map(dedup_ids).unwrap_or_default();
     match engine.scenario_json(&ids, deadline) {
         Ok(body) => Response::json(200, body.as_str().to_string()),
         Err(ScenarioServeError::NotConfigured) => Response::error(
             409,
             "no_scenario",
-            "this server has no scenario registered; start with --scenario <file>".to_string(),
-            None,
+            "this server has no scenario registered; start with --scenario <file>",
         ),
         Err(ScenarioServeError::UnknownExperiments(unknown)) => {
             let mut detail = BTreeMap::new();
@@ -1181,24 +892,21 @@ fn route_scenario(engine: &Engine, query: Option<&str>, deadline: Option<Instant
                     engine.experiments().iter().map(|e| Value::String(e.id.clone())).collect(),
                 ),
             );
-            Response::error(
+            Response::error_with(
                 404,
                 "unknown_experiment",
                 format!("unknown experiments: {}", unknown.join(", ")),
-                Some(Value::Object(detail)),
+                detail,
             )
         }
         Err(ScenarioServeError::Saturated) => {
             engine.metrics().shed();
-            Response::error(503, "saturated", "server saturated, retry later".to_string(), None)
+            Response::error(503, "saturated", "server saturated, retry later")
         }
         Err(ScenarioServeError::DeadlineExceeded) => deadline_response(),
-        Err(ScenarioServeError::Failed(detail)) => Response::error(
-            500,
-            "scenario_failed",
-            format!("scenario comparison failed: {detail}"),
-            None,
-        ),
+        Err(ScenarioServeError::Failed(detail)) => {
+            Response::error(500, "scenario_failed", format!("scenario comparison failed: {detail}"))
+        }
     }
 }
 
@@ -1207,8 +915,7 @@ fn deadline_response() -> Response {
     Response::error(
         504,
         "deadline_exceeded",
-        "the request deadline expired before a result was ready".to_string(),
-        None,
+        "the request deadline expired before a result was ready",
     )
 }
 
@@ -1221,91 +928,38 @@ fn analyze_error_response(engine: &Engine, err: &AnalyzeError, id: &str) -> Resp
                 "valid".to_string(),
                 Value::Array(valid.iter().map(|v| Value::String(v.clone())).collect()),
             );
-            Response::error(
+            Response::error_with(
                 404,
                 "unknown_experiment",
                 format!("unknown experiment `{id}`"),
-                Some(Value::Object(detail)),
+                detail,
             )
         }
         AnalyzeError::Saturated => {
             engine.metrics().shed();
-            Response::error(503, "saturated", "server saturated, retry later".to_string(), None)
+            Response::error(503, "saturated", "server saturated, retry later")
         }
         // The engine already counted deadlines_exceeded when it gave up.
         AnalyzeError::DeadlineExceeded => deadline_response(),
-        AnalyzeError::Failed => Response::error(
-            500,
-            "experiment_failed",
-            format!("experiment `{id}` failed to run"),
-            None,
-        ),
+        AnalyzeError::Failed => {
+            Response::error(500, "experiment_failed", format!("experiment `{id}` failed to run"))
+        }
     }
 }
 
-fn to_json<T: Serialize>(value: &T) -> String {
-    // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-    serde_json::to_string(value).expect("response bodies serialise")
-}
-
-/// JSON string literal for `s` (quotes + escaping).
-fn json_str(s: &str) -> String {
-    // lint:allow(unwrap-in-serve): serialising an in-memory value; failure is a serde bug, not a request error
-    serde_json::to_string(&s).expect("strings serialise")
-}
-
 /// [`respond`] for requests rejected before their bytes were consumed:
-/// after writing the reply, briefly drain whatever the client already
-/// sent so closing the socket doesn't RST the unread data and destroy
-/// the response before the client reads it.
+/// the reply, then [`transport::drain_unread`].
 fn respond_and_drain(
     stream: &mut TcpStream,
     engine: &Engine,
     response: &Response,
 ) -> std::io::Result<()> {
     let result = respond(stream, engine, response);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut sink = [0u8; 1024];
-    for _ in 0..64 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
+    transport::drain_unread(stream);
     result
 }
 
 fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std::io::Result<()> {
-    let reason = match response.status {
-        200 => "OK",
-        308 => "Permanent Redirect",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        411 => "Length Required",
-        413 => "Payload Too Large",
-        421 => "Misdirected Request",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Internal Server Error",
-    };
-    let (ctype, payload): (&str, &[u8]) = match &response.raw {
-        Some(bytes) => ("application/octet-stream", bytes.as_slice()),
-        None => ("application/json", response.body.as_bytes()),
-    };
-    let location =
-        response.location.as_ref().map(|l| format!("Location: {l}\r\n")).unwrap_or_default();
-    let retry_after =
-        response.retry_after.map(|s| format!("Retry-After: {s}\r\n")).unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {reason}\r\nContent-Type: {ctype}\r\n{location}{retry_after}Content-Length: {}\r\nConnection: close\r\n\r\n",
-        response.status,
-        payload.len()
-    );
     // Chaos hook: a truncated write simulates the peer (or a middlebox)
     // cutting the stream mid-response; the client sees a short read and
     // the server must shrug and move on.
@@ -1313,13 +967,11 @@ fn respond(stream: &mut TcpStream, engine: &Engine, response: &Response) -> std:
         dial_fault::inject(dial_fault::FaultPoint::TruncWrite)
     {
         engine.metrics().fault("trunc_write");
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(payload);
+        let mut wire = response.head().into_bytes();
+        wire.extend_from_slice(&response.body);
         wire.truncate(keep);
         stream.write_all(&wire)?;
         return stream.flush();
     }
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    response.write_to(stream)
 }

@@ -10,11 +10,15 @@
 //!    bounded queue; a full queue sheds load instead of growing latency.
 //! 3. [`cache`] — finished response bodies keyed by (snapshot
 //!    fingerprint, experiment id, params) behind an `RwLock`.
-//! 4. [`http`] — a hand-rolled HTTP/1.1 front-end on
-//!    `std::net::TcpListener`, one short-lived thread per connection.
+//! 4. [`http`] — the node's HTTP front-end: routing, the error envelope's
+//!    codes, and the dial-fault hooks around each socket step.
 //!
 //! [`engine`] composes layers 1–3 into the no-sockets pipeline that both
 //! the HTTP layer and the benches drive; [`metrics`] counts everything.
+//! [`transport`] is the workspace's one HTTP/1.1 implementation — accept
+//! loop, deadline readers, response writer, blocking client — shared by
+//! the node, the `dial route` front, the sync runner, the CLI and the
+//! benches.
 //! Per DESIGN §7 there is no async runtime anywhere: experiment runs are
 //! CPU-bound, so plain threads + channels are the right concurrency model.
 
@@ -24,6 +28,7 @@ pub mod http;
 pub mod metrics;
 pub mod scheduler;
 pub mod store;
+pub mod transport;
 
 pub use engine::{
     AnalyzeError, Engine, IngestError, IngestReport, PromoteError, Role, ScenarioServeError,

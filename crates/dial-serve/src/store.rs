@@ -4,7 +4,7 @@
 
 use dial_chain::Ledger;
 use dial_core::experiments::ExperimentContext;
-use dial_model::Dataset;
+use dial_model::{fnv1a_fold, Dataset, FNV1A_OFFSET};
 use dial_time::{Date, Era};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -96,17 +96,6 @@ impl SnapshotStore {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The era whose slice an entity dated `date` belongs to; dates outside
 /// the study eras clamp to the nearest one so the partition is total.
 fn era_of_clamped(date: Date) -> Era {
@@ -128,7 +117,7 @@ fn era_of_clamped(date: Date) -> Era {
 /// identical era fingerprints — and a seal that only appends month-M
 /// entities only moves the hashes of the eras those entities date to.
 fn era_fingerprints(dataset: &Dataset, ledger: &Ledger) -> [u64; 3] {
-    let mut hashes = [FNV_OFFSET; 3];
+    let mut hashes = [FNV1A_OFFSET; 3];
     let mut fold = |date: Date, json: String| {
         let era = era_of_clamped(date);
         let i = Era::ALL.iter().position(|e| *e == era).unwrap();
@@ -190,7 +179,7 @@ mod tests {
         let out = SimConfig::paper_default().with_seed(3).with_scale(0.01).simulate_full();
         let fps = era_fingerprints(&out.dataset, &out.ledger);
         // Each era actually has content, and the slices differ.
-        assert!(fps.iter().all(|f| *f != FNV_OFFSET));
+        assert!(fps.iter().all(|f| *f != FNV1A_OFFSET));
         assert_ne!(fps[0], fps[1]);
         assert_ne!(fps[1], fps[2]);
 

@@ -1,6 +1,9 @@
 //! End-to-end tests for the dial-serve HTTP server: real sockets on an
-//! ephemeral port, a plain `TcpStream` client, no mocks.
+//! ephemeral port, the workspace's own client, no mocks. The one request
+//! that client cannot send (a POST without `Content-Length`) goes out
+//! over a raw socket.
 
+use dial_serve::transport::{self, HttpReply};
 use dial_serve::{Engine, ServeConfig, ServeExperiment, Server, SnapshotStore};
 use dial_sim::SimConfig;
 use std::io::{Read, Write};
@@ -8,26 +11,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Minimal HTTP/1.1 GET returning `(status, headers, body)`; the server
-/// always closes the connection, so read-to-EOF yields the whole response.
-fn http_get_full(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-        .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, head.to_string(), body.to_string())
+/// GET returning the whole reply (status, headers, body).
+fn http_get_full(addr: SocketAddr, path: &str) -> HttpReply {
+    transport::get(&addr.to_string(), path).expect("GET")
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, _, body) = http_get_full(addr, path);
-    (status, body)
+    let reply = http_get_full(addr, path);
+    (reply.status, reply.text())
 }
 
 fn test_store() -> SnapshotStore {
@@ -97,13 +88,9 @@ fn every_endpoint_answers_valid_json() {
     let (status, body) = http_get(addr, "/nope");
     assert_eq!(status, 404);
     assert_eq!(parse_envelope(&body).0, "unknown_endpoint");
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "POST /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.1 405"), "POST should 405, got {raw:?}");
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or_default();
-    assert_eq!(parse_envelope(body).0, "method_not_allowed");
+    let reply = http_post(addr, "/v1/healthz", "");
+    assert_eq!(reply.status, 405, "POST should 405, got {reply:?}");
+    assert_eq!(parse_envelope(&reply.text()).0, "method_not_allowed");
 
     server.shutdown();
 }
@@ -122,12 +109,12 @@ fn legacy_paths_redirect_permanently_to_v1() {
         ("/analyze/table1", "/v1/analyze/table1"),
         ("/analyze?ids=table1,fig1", "/v1/analyze?ids=table1,fig1"),
     ] {
-        let (status, head, body) = http_get_full(addr, old);
-        assert_eq!(status, 308, "{old} should 308: {body}");
-        let location = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Location: "))
-            .unwrap_or_else(|| panic!("{old}: no Location header in {head}"));
+        let reply = http_get_full(addr, old);
+        let body = reply.text();
+        assert_eq!(reply.status, 308, "{old} should 308: {body}");
+        let location = reply
+            .header("location")
+            .unwrap_or_else(|| panic!("{old}: no Location header in {:?}", reply.headers));
         assert_eq!(location, new);
         let (code, detail) = parse_envelope(&body);
         assert_eq!(code, "moved_permanently");
@@ -329,24 +316,9 @@ fn saturated_batch_sheds_whole_request_with_503() {
     server.shutdown();
 }
 
-/// Minimal HTTP/1.1 POST returning `(status, headers, body)`.
-fn http_post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, head.to_string(), body.to_string())
+/// POST returning the whole reply (status, headers, body).
+fn http_post(addr: SocketAddr, path: &str, body: &str) -> HttpReply {
+    transport::post(&addr.to_string(), path, body.as_bytes()).expect("POST")
 }
 
 fn start_live_server(max_pending_events: usize) -> Server {
@@ -370,8 +342,9 @@ fn live_ingest_then_stream_replays_the_story_over_http() {
 
     let out = SimConfig::paper_default().with_seed(9).with_scale(0.01).simulate_full();
     let segs = dial_stream::segments(&out);
-    let (status, _, body) = http_post(addr, "/v1/ingest", &dial_stream::encode_ndjson(&segs[0]));
-    assert_eq!(status, 200, "ingest failed: {body}");
+    let reply = http_post(addr, "/v1/ingest", &dial_stream::encode_ndjson(&segs[0]));
+    let body = reply.text();
+    assert_eq!(reply.status, 200, "ingest failed: {body}");
     let v: serde_json::Value = serde_json::from_str(&body).expect("ingest report is JSON");
     assert_eq!(v.get("accepted").as_u64(), Some(segs[0].len() as u64));
     assert_eq!(v.get("seals").as_u64(), Some(1));
@@ -385,10 +358,11 @@ fn live_ingest_then_stream_replays_the_story_over_http() {
 
     // A late subscriber replays the era + seal frames, then the server
     // ends the stream at ?max=2 with a clean terminal chunk.
-    let (status, head, sse) = http_get_full(addr, "/v1/stream?max=2");
-    assert_eq!(status, 200, "stream failed: {sse}");
-    assert!(head.contains("Content-Type: text/event-stream"), "{head}");
-    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+    let reply = http_get_full(addr, "/v1/stream?max=2");
+    let sse = reply.text();
+    assert_eq!(reply.status, 200, "stream failed: {sse}");
+    assert_eq!(reply.header("content-type"), Some("text/event-stream"), "{reply:?}");
+    assert_eq!(reply.header("transfer-encoding"), Some("chunked"), "{reply:?}");
     assert!(sse.contains("event: era"), "missing era frame: {sse}");
     assert!(sse.contains("event: seal"), "missing seal frame: {sse}");
     assert!(sse.contains(&sealed_fp), "seal frame must carry the snapshot fingerprint: {sse}");
@@ -407,11 +381,12 @@ fn snapshot_server_answers_409_on_live_endpoints() {
     let server = start_server(engine);
     let addr = server.addr();
 
-    let (status, _, body) = http_post(addr, "/v1/ingest", "{}");
-    assert_eq!(status, 409, "{body}");
+    let reply = http_post(addr, "/v1/ingest", "{}");
+    let body = reply.text();
+    assert_eq!(reply.status, 409, "{body}");
     assert_eq!(parse_envelope(&body).0, "not_live");
 
-    let (status, _, body) = http_get_full(addr, "/v1/stream");
+    let (status, body) = http_get(addr, "/v1/stream");
     assert_eq!(status, 409, "{body}");
     assert_eq!(parse_envelope(&body).0, "not_live");
 
@@ -438,16 +413,36 @@ fn ingest_guards_length_method_and_backpressure() {
     // A month-sized batch against an 8-event buffer: 429 + Retry-After.
     let out = SimConfig::paper_default().with_seed(9).with_scale(0.01).simulate_full();
     let segs = dial_stream::segments(&out);
-    let (status, head, body) = http_post(addr, "/v1/ingest", &dial_stream::encode_ndjson(&segs[0]));
-    assert_eq!(status, 429, "{body}");
-    assert_eq!(parse_envelope(&body).0, "ingest_backpressure");
-    assert!(head.lines().any(|l| l.starts_with("Retry-After:")), "{head}");
+    let reply = http_post(addr, "/v1/ingest", &dial_stream::encode_ndjson(&segs[0]));
+    assert_eq!(reply.status, 429, "{reply:?}");
+    assert_eq!(parse_envelope(&reply.text()).0, "ingest_backpressure");
+    assert!(reply.header("retry-after").is_some(), "{reply:?}");
 
     // Malformed NDJSON: enveloped 400 naming the line.
-    let (status, _, body) = http_post(addr, "/v1/ingest", "{\"nope\":1}\n");
-    assert_eq!(status, 400, "{body}");
+    let reply = http_post(addr, "/v1/ingest", "{\"nope\":1}\n");
+    let body = reply.text();
+    assert_eq!(reply.status, 400, "{body}");
     assert_eq!(parse_envelope(&body).0, "bad_event");
 
+    server.shutdown();
+}
+
+/// A promote whose body stops short of its declared length is refused.
+/// Read as far as it got, a cut-off adopt (`{"epoch":…,"leader":…}`)
+/// would parse as an empty body: a self-promotion instead of a fence.
+#[test]
+fn truncated_promote_body_is_refused_not_read_as_self_promotion() {
+    let server = start_server(Engine::new(test_store(), Vec::new(), 1, 4));
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let fragment = "{\"epoch\":3,\"lea";
+    write!(stream, "POST /v1/promote HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n{fragment}")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "expected 400, got {raw:?}");
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or_default();
+    assert_eq!(parse_envelope(body).0, "truncated_body");
     server.shutdown();
 }
 
@@ -464,12 +459,12 @@ fn legacy_redirects_preserve_subpaths_and_query_strings() {
         ("/analyze?ids=table1,fig1&x=y", "/v1/analyze?ids=table1,fig1&x=y"),
         ("/metrics?pretty=1", "/v1/metrics?pretty=1"),
     ] {
-        let (status, head, body) = http_get_full(addr, old);
-        assert_eq!(status, 308, "{old}: {body}");
-        let location = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Location: "))
-            .unwrap_or_else(|| panic!("{old}: no Location header in {head}"));
+        let reply = http_get_full(addr, old);
+        let body = reply.text();
+        assert_eq!(reply.status, 308, "{old}: {body}");
+        let location = reply
+            .header("location")
+            .unwrap_or_else(|| panic!("{old}: no Location header in {:?}", reply.headers));
         assert_eq!(location, new, "redirect must preserve the full path and query");
         assert_eq!(parse_envelope(&body).1.get("location").as_str(), Some(new));
     }

@@ -122,7 +122,7 @@
 use dial_market::core::experiments::{all_experiments, extension_experiments, ExperimentContext};
 use dial_market::prelude::*;
 use dial_replicate::{Router, RouterConfig, SyncRunner};
-use dial_serve::{Engine, Role, ServeConfig, Server, Snapshot, SnapshotStore};
+use dial_serve::{transport, Engine, Role, ServeConfig, Server, Snapshot, SnapshotStore};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -829,7 +829,7 @@ fn promote_cmd(args: &[String]) -> ExitCode {
         eprintln!("usage: dial promote <host:port>");
         return ExitCode::FAILURE;
     };
-    match dial_replicate::post(addr, "/v1/promote", b"{}") {
+    match transport::post(addr, "/v1/promote", b"{}") {
         Ok(reply) => {
             println!("{}", reply.text());
             if reply.status == 200 {
@@ -1004,29 +1004,6 @@ fn lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// POSTs `body` to `http://addr/v1/ingest` over a fresh connection and
-/// returns `(status, response body)`.
-fn post_ingest(addr: &str, body: &str) -> Result<(u16, String), String> {
-    use std::io::{Read, Write};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    write!(
-        stream,
-        "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("read from {addr}: {e}"))?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad response from {addr}: {raw:?}"))?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("").to_string();
-    Ok((status, body))
-}
-
 /// Re-simulates a market and feeds its event log into a live server,
 /// one watermarked month segment per POST.
 fn replay(args: &[String]) -> ExitCode {
@@ -1064,18 +1041,23 @@ fn replay(args: &[String]) -> ExitCode {
 
     for (i, seg) in segments.iter().enumerate() {
         let body = dial_market::stream::encode_ndjson(seg);
-        let (status, resp) = match post_ingest(&target, &body) {
+        let reply = match transport::post(&target, "/v1/ingest", body.as_bytes()) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        if status != 200 {
-            eprintln!("month {}/{months}: server answered {status}: {resp}", i + 1);
+        if reply.status != 200 {
+            eprintln!(
+                "month {}/{months}: server answered {}: {}",
+                i + 1,
+                reply.status,
+                reply.text()
+            );
             return ExitCode::FAILURE;
         }
-        eprintln!("month {}/{months}: {} event(s) -> {resp}", i + 1, seg.len());
+        eprintln!("month {}/{months}: {} event(s) -> {}", i + 1, seg.len(), reply.text());
         if speed > 0.0 && i + 1 < months {
             // Each segment covers roughly one 30-day study month.
             std::thread::sleep(Duration::from_secs_f64(30.0 / speed));

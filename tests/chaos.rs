@@ -8,7 +8,7 @@
 //! ones without a plan, whose injection points must stay silent) holds
 //! one shared mutex.
 
-use dial_serve::{Engine, ServeConfig, ServeExperiment, Server, SnapshotStore};
+use dial_serve::{transport, Engine, ServeConfig, ServeExperiment, Server, SnapshotStore};
 use dial_sim::SimConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -45,16 +45,10 @@ fn http_get_raw(addr: SocketAddr, path: &str) -> Vec<u8> {
     raw
 }
 
-/// GET returning `(status, body)`.
+/// GET through the shared client, returning `(status, body)`.
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let raw = String::from_utf8_lossy(&http_get_raw(addr, path)).into_owned();
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+    let reply = transport::get(&addr.to_string(), path).expect("GET");
+    (reply.status, reply.text())
 }
 
 fn metrics(addr: SocketAddr) -> serde_json::Value {

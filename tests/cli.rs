@@ -134,7 +134,7 @@ fn scale_is_validated_not_silently_defaulted() {
 
 #[test]
 fn live_serve_and_replay_round_trip() {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, Read};
 
     let mut server = dial()
         .args(["serve", "--live", "--seed", "9", "--port", "0", "--threads", "2"])
@@ -169,14 +169,10 @@ fn live_serve_and_replay_round_trip() {
     assert!(replay_err.contains("replay complete"), "{replay_err}");
 
     // The grown snapshot now answers queries like any static one.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    write!(stream, "GET /v1/summary HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.1 200"), "summary after replay: {raw}");
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-    let v: serde_json::Value = serde_json::from_str(body).expect("summary is JSON");
+    let reply = dial_serve::transport::get(&addr, "/v1/summary").expect("GET /v1/summary");
+    let body = reply.text();
+    assert_eq!(reply.status, 200, "summary after replay: {body}");
+    let v: serde_json::Value = serde_json::from_str(&body).expect("summary is JSON");
     let contracts = v.get("counts").get("contracts").as_u64().unwrap_or(0);
     assert!(contracts > 0, "snapshot stayed empty: {body}");
 

@@ -23,11 +23,12 @@
 //! lower-epoch promote/adopt/observe calls can move an engine off its
 //! epoch.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use dial_serve::transport::{self, HttpReply};
 use dial_sim::SimConfig;
 use dial_stream::{encode_ndjson, segments};
 use proptest::prelude::*;
@@ -108,41 +109,26 @@ impl Node {
     }
 }
 
-/// Raw request/response; `Err` on any transport failure (a dead or
-/// mid-failover node), so callers can retry instead of panicking.
-fn try_request(addr: &str, request: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.write_all(request.as_bytes()).map_err(|e| format!("send: {e}"))?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("read: {e}"))?;
-    Ok(raw)
-}
+/// How long one GET may take: the registry sweeps run debug-built
+/// fitters, far slower than the client's default.
+const GET_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// A 200's body; `Err` on any other status or any transport failure (a
+/// dead or mid-failover node), so callers can retry instead of panicking.
 fn try_get(addr: &str, path: &str) -> Result<String, String> {
-    let raw = try_request(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )?;
-    if !raw.starts_with("HTTP/1.1 200") {
-        return Err(format!("GET {path}: {raw}"));
+    let reply = transport::get_with_timeout(addr, path, GET_TIMEOUT)?;
+    if reply.status != 200 {
+        return Err(format!("GET {path}: {} {}", reply.status, reply.text()));
     }
-    raw.split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .ok_or_else(|| "response without a body".to_string())
+    Ok(reply.text())
 }
 
 fn get(addr: &str, path: &str) -> String {
     try_get(addr, path).expect("GET")
 }
 
-fn post_ingest_raw(addr: &str, body: &str) -> Result<String, String> {
-    try_request(
-        addr,
-        &format!(
-            "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+fn post_ingest(addr: &str, body: &str) -> Result<HttpReply, String> {
+    transport::post(addr, "/v1/ingest", body.as_bytes())
 }
 
 /// Ingests through a (possibly mid-failover) router: retries transport
@@ -153,12 +139,16 @@ fn ingest_acked(addr: &str, body: &str, secs: u64) -> u32 {
     let mut attempts = 0;
     loop {
         attempts += 1;
-        match post_ingest_raw(addr, body) {
-            Ok(raw) if raw.starts_with("HTTP/1.1 200") => return attempts,
+        match post_ingest(addr, body) {
+            Ok(reply) if reply.status == 200 => return attempts,
             Ok(_) | Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(100));
             }
-            Ok(raw) => panic!("ingest never acked after {attempts} attempt(s): {raw}"),
+            Ok(reply) => panic!(
+                "ingest never acked after {attempts} attempt(s): {} {}",
+                reply.status,
+                reply.text()
+            ),
             Err(e) => panic!("ingest never acked after {attempts} attempt(s): {e}"),
         }
     }
@@ -381,8 +371,8 @@ fn netsplit_isolated_leader_is_fenced_not_killed() {
     // accepts writes, which is exactly why fencing (not crash-detection)
     // has to be the safety mechanism.
     for body in &months[..8] {
-        let raw = post_ingest_raw(&leader.addr, body).expect("direct ingest");
-        assert!(raw.starts_with("HTTP/1.1 200"), "isolated leader must still ingest: {raw}");
+        let reply = post_ingest(&leader.addr, body).expect("direct ingest");
+        assert_eq!(reply.status, 200, "isolated leader must still ingest: {}", reply.text());
     }
 
     let f1 = Node::serve(&[
@@ -486,8 +476,8 @@ fn manual_promote_cli_raises_follower_to_leader() {
 
     let leader = Node::serve(&["--data-dir", &dir_leader]);
     for body in &months[..4] {
-        let raw = post_ingest_raw(&leader.addr, body).expect("ingest");
-        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        let reply = post_ingest(&leader.addr, body).expect("ingest");
+        assert_eq!(reply.status, 200, "{}", reply.text());
     }
     let follower =
         Node::serve(&["--follow", &leader.addr, "--data-dir", &dir_f, "--sync-interval", "25"]);
@@ -508,8 +498,8 @@ fn manual_promote_cli_raises_follower_to_leader() {
     assert_eq!(v.get("role").as_str(), Some("leader"), "promoted node must lead: {v}");
     assert_eq!(v.get("epoch").as_u64(), Some(1));
     // And it accepts writes now — no 421.
-    let raw = post_ingest_raw(&follower.addr, &months[4]).expect("ingest on promoted node");
-    assert!(raw.starts_with("HTTP/1.1 200"), "promoted node must accept writes: {raw}");
+    let reply = post_ingest(&follower.addr, &months[4]).expect("ingest on promoted node");
+    assert_eq!(reply.status, 200, "promoted node must accept writes: {}", reply.text());
 
     // A second promotion of the same node is idempotent-ish: it bumps
     // the epoch again rather than failing (it holds the highest tip).

@@ -249,6 +249,21 @@ fn r6_fires_on_fixture_and_drop_silences_it() {
     );
 }
 
+/// Calls into dial-serve's shared HTTP transport count as blocking, so
+/// R6 covers the router, sync and promote paths that use its client.
+#[test]
+fn r6_covers_calls_into_the_shared_http_client() {
+    let report = lint_fixture("guard_across_client.rs");
+    let r6: Vec<(u32, &str)> = report
+        .active()
+        .filter(|f| f.rule == "guard-across-blocking")
+        .map(|f| (f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(r6.len(), 1, "only the held guard fires: {r6:?}");
+    assert_eq!(r6[0].0, 16, "{r6:?}");
+    assert!(r6[0].1.contains("blocking `transport::get`"), "{r6:?}");
+}
+
 #[test]
 fn r7_fires_one_finding_per_drift_direction() {
     let report = lint_fixture("counter_drift.rs");

@@ -17,11 +17,11 @@
 //! * **Routing** — `dial route` follows a `421 not_leader` redirect to
 //!   find the real leader and serves reads from the follower pool.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use dial_serve::transport::{self, HttpReply};
 use dial_sim::SimConfig;
 use dial_stream::{encode_ndjson, segments};
 
@@ -95,39 +95,23 @@ impl LiveServer {
     }
 }
 
-/// Raw request/response exchange; returns the full response text.
-fn raw_request(addr: &str, request: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    raw
-}
-
+/// A 200's body. The registry sweeps run debug-built fitters, so the
+/// wait is far longer than the client's default.
 fn get(addr: &str, path: &str) -> String {
-    let raw = raw_request(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    );
-    assert!(raw.starts_with("HTTP/1.1 200"), "GET {path}: {raw}");
-    raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).expect("response has a body")
+    let reply = transport::get_with_timeout(addr, path, Duration::from_secs(120)).expect("GET");
+    assert_eq!(reply.status, 200, "GET {path}: {}", reply.text());
+    reply.text()
 }
 
-/// POSTs one ingest body; returns the raw response (status line intact)
-/// so callers can assert on redirects as well as successes.
-fn post_ingest_raw(addr: &str, body: &str) -> String {
-    raw_request(
-        addr,
-        &format!(
-            "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+/// POSTs one ingest body; returns the whole reply so callers can assert
+/// on redirects as well as successes.
+fn post_ingest(addr: &str, body: &str) -> HttpReply {
+    transport::post(addr, "/v1/ingest", body.as_bytes()).expect("POST /v1/ingest")
 }
 
 fn ingest(addr: &str, body: &str) {
-    let raw = post_ingest_raw(addr, body);
-    assert!(raw.starts_with("HTTP/1.1 200"), "ingest: {raw}");
+    let reply = post_ingest(addr, body);
+    assert_eq!(reply.status, 200, "ingest: {}", reply.text());
 }
 
 fn cluster(addr: &str) -> serde_json::Value {
@@ -200,10 +184,12 @@ fn scratch_follower_is_byte_identical_and_survives_leader_loss() {
 
     // Writes aimed at the follower answer 421 + a Location naming the
     // leader — the socket-level contract `dial route` relies on.
-    let raw = post_ingest_raw(&follower.addr, &months[0]);
-    assert!(raw.starts_with("HTTP/1.1 421"), "follower must refuse writes: {raw}");
-    assert!(
-        raw.contains(&format!("Location: http://{}/v1/ingest", leader.addr)),
+    let reply = post_ingest(&follower.addr, &months[0]);
+    let raw = reply.text();
+    assert_eq!(reply.status, 421, "follower must refuse writes: {raw}");
+    assert_eq!(
+        reply.header("location"),
+        Some(format!("http://{}/v1/ingest", leader.addr).as_str()),
         "421 must name the leader: {raw}"
     );
     assert!(raw.contains("not_leader"), "error envelope must carry the code: {raw}");
@@ -359,8 +345,8 @@ fn router_follows_not_leader_redirect_and_serves_reads() {
     // write bounces 421, the router follows the Location header to the
     // real leader and the write lands.
     let router = LiveServer::spawn_router(&follower.addr, &follower.addr);
-    let raw = post_ingest_raw(&router.addr, &months[5]);
-    assert!(raw.starts_with("HTTP/1.1 200"), "router must follow the not_leader redirect: {raw}");
+    let reply = post_ingest(&router.addr, &months[5]);
+    assert_eq!(reply.status, 200, "router must follow the not_leader redirect: {}", reply.text());
     {
         let addr = follower.addr.clone();
         wait_for("follower to sync the routed write", 60, move || synced_seq(&addr) == Some(5));

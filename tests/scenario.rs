@@ -14,8 +14,9 @@
 //! `file:line` diagnostic anchored to the offending line.
 
 use dial_market::scenario::{compare, CompareError, CompareOptions, Scenario};
-use std::io::{BufRead, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use dial_serve::transport;
+use std::io::BufRead;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -154,19 +155,9 @@ fn unknown_experiment_ids_are_reported_together() {
 // ----------------------------------------- (c) serve/CLI byte equality
 
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-        .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+    let reply = transport::get_with_timeout(&addr.to_string(), path, Duration::from_secs(120))
+        .expect("GET");
+    (reply.status, reply.text())
 }
 
 #[test]

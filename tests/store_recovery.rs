@@ -18,10 +18,11 @@
 //! block) and `/v1/analyze` bodies byte-for-byte against an
 //! uninterrupted durable run of the same event log.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
+use dial_serve::transport;
 use dial_sim::SimConfig;
 use dial_stream::{encode_ndjson, segments};
 
@@ -84,27 +85,16 @@ impl LiveServer {
     }
 }
 
+/// A 200's body, waiting as long as a debug-built analyze may take.
 fn get(addr: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    assert!(raw.starts_with("HTTP/1.1 200"), "GET {path}: {raw}");
-    raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).expect("response has a body")
+    let reply = transport::get_with_timeout(addr, path, Duration::from_secs(120)).expect("GET");
+    assert_eq!(reply.status, 200, "GET {path}: {}", reply.text());
+    reply.text()
 }
 
 fn ingest(addr: &str, body: &str) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send ingest");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read ingest response");
-    assert!(raw.starts_with("HTTP/1.1 200"), "ingest: {raw}");
+    let reply = transport::post(addr, "/v1/ingest", body.as_bytes()).expect("POST /v1/ingest");
+    assert_eq!(reply.status, 200, "ingest: {}", reply.text());
 }
 
 /// Last durable seal seq according to `GET /v1/store`.
